@@ -60,7 +60,7 @@ int RunGraph(const char* label, const Graph& graph, MiningOptions base) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
       return 1;
     }
-    auto maximal = FilterMaximal(std::move(sink.results()));
+    auto maximal = FilterMaximal(sink.results());
     if (std::string(variant.name) == "full algorithm") {
       full_maximal = maximal.size();
     }

@@ -74,7 +74,7 @@ int main() {
     std::fprintf(stderr, "%s\n", serial_report.status().ToString().c_str());
     return 1;
   }
-  auto serial_modules = FilterMaximal(std::move(sink.results()));
+  auto serial_modules = FilterMaximal(sink.results());
 
   // Parallel run on the simulated cluster.
   EngineConfig config;

@@ -37,7 +37,7 @@ int main() {
                  report.status().ToString().c_str());
     return 1;
   }
-  auto maximal = FilterMaximal(std::move(sink.results()));
+  auto maximal = FilterMaximal(sink.results());
 
   // 4. Print results (vertex ids 0..8 = a..i).
   std::printf("Maximal 0.6-quasi-cliques with >= 4 vertices:\n");

@@ -72,6 +72,7 @@ struct ThreadMetrics {
 /// Cross-thread counters (atomics; relaxed ordering is sufficient --
 /// counters are read only after the engine quiesces).
 struct EngineCounters {
+  // Each task is classified once, at creation (Scheduler::CountCreated).
   std::atomic<uint64_t> big_tasks{0};
   std::atomic<uint64_t> small_tasks{0};
   std::atomic<uint64_t> spill_files{0};

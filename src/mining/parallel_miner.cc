@@ -2,6 +2,7 @@
 
 #include "mining/qc_app.h"
 #include "quick/maximality_filter.h"
+#include "util/timer.h"
 
 namespace qcm {
 
@@ -15,7 +16,10 @@ StatusOr<ParallelMineResult> ParallelMiner::Run(const Graph& graph) {
   ParallelMineResult result;
   result.report = std::move(report).value();
   result.raw_candidates = result.report.results.size();
-  result.maximal = FilterMaximal(result.report.results);
+  WallTimer filter_timer;
+  result.maximal =
+      FilterMaximal(result.report.results, &result.duplicates);
+  result.filter_seconds = filter_timer.Seconds();
   return result;
 }
 

@@ -17,13 +17,20 @@ namespace qcm {
 
 /// Output of ParallelMiner::Run.
 struct ParallelMineResult {
-  /// Exactly the maximal quasi-cliques (after FilterMaximal postprocessing).
+  /// Exactly the maximal quasi-cliques: the job's one FilterMaximal pass
+  /// over report.results.
   std::vector<VertexSet> maximal;
   /// Raw candidate count before postprocessing (the paper's tables report
   /// this as "Result #": its GitHub release "do[es] not include a
   /// processing step to remove non-maximal results").
   uint64_t raw_candidates = 0;
-  /// Full engine metrics and per-thread/per-root accounting.
+  /// Exact-duplicate candidates FilterMaximal removed.
+  size_t duplicates = 0;
+  /// Wall seconds of the one FilterMaximal pass (not in
+  /// report.wall_seconds, which ends with the engine).
+  double filter_seconds = 0;
+  /// Full engine metrics and per-thread/per-root accounting. Its
+  /// `results` keep the raw candidates, unfiltered.
   EngineReport report;
 };
 

@@ -3,27 +3,36 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <numeric>
 #include <unordered_map>
 
+#include "util/logging.h"
 #include "util/serde.h"
 
 namespace qcm {
 
 namespace {
 
-// Comparison cost a std::sort of n elements would have paid, ~n*ceil(log2 n)
-// -- the bookkeeping currency of the re-sorts the sorted-emission invariant
-// makes unnecessary.
-uint64_t SortCostEstimate(size_t n) {
-  if (n < 2) return 0;
-  uint64_t log2 = 0;
-  for (size_t m = n - 1; m > 0; m >>= 1) ++log2;
-  return static_cast<uint64_t>(n) * log2;
-}
+// One inverted-index entry: a kept set (its index into the input), its
+// size and its signature, so the pre-checks read no set memory.
+struct Posting {
+  uint64_t sig;
+  uint32_t set;
+  uint32_t size;
+};
 
 }  // namespace
 
-std::vector<VertexSet> FilterMaximal(std::vector<VertexSet> sets,
+uint64_t SetSignature(const VertexSet& s) {
+  uint64_t sig = 0;
+  for (VertexId v : s) {
+    // Fibonacci hashing: the top 6 bits of the product pick the bit.
+    sig |= uint64_t{1} << ((uint64_t{v} * 0x9E3779B97F4A7C15ull) >> 58);
+  }
+  return sig;
+}
+
+std::vector<VertexSet> FilterMaximal(const std::vector<VertexSet>& sets,
                                      size_t* duplicates) {
   // The subset probe below (std::includes) requires each set sorted; the
   // sinks emit sorted sets, so this is an invariant check, not a re-sort.
@@ -33,52 +42,70 @@ std::vector<VertexSet> FilterMaximal(std::vector<VertexSet> sets,
            "FilterMaximal input set violates the sorted-emission invariant");
   }
 #endif
-  // Exact dedup first.
-  std::sort(sets.begin(), sets.end());
-  const size_t before = sets.size();
-  sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
-  if (duplicates != nullptr) *duplicates = before - sets.size();
-  // Process larger sets first: any strict superset of a candidate is
-  // already kept by the time the candidate is considered.
-  std::stable_sort(sets.begin(), sets.end(),
-                   [](const VertexSet& a, const VertexSet& b) {
-                     return a.size() > b.size();
-                   });
+  QCM_CHECK(sets.size() <= UINT32_MAX)
+      << "FilterMaximal indexes candidates with 32 bits";
+  std::vector<uint32_t> order(sets.size());
+  std::iota(order.begin(), order.end(), 0u);
+  // Larger first, then lexicographic: equal sets end up adjacent, and
+  // every strict superset of a set precedes it.
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const VertexSet& x = sets[a];
+    const VertexSet& y = sets[b];
+    return x.size() != y.size() ? x.size() > y.size() : x < y;
+  });
 
-  std::vector<VertexSet> kept;
-  // Inverted index: vertex -> indices of kept sets containing it.
-  std::unordered_map<VertexId, std::vector<size_t>> index;
-  for (VertexSet& s : sets) {
+  size_t dups = 0;
+  std::vector<uint32_t> kept;
+  // Inverted index: vertex -> postings of the kept sets containing it.
+  std::unordered_map<VertexId, std::vector<Posting>> index;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const VertexSet& s = sets[order[i]];
+    if (i > 0 && s == sets[order[i - 1]]) {
+      ++dups;
+      continue;
+    }
     if (s.empty()) continue;
-    // Probe via the member contained in the fewest kept sets.
-    VertexId probe = s[0];
-    size_t probe_count = SIZE_MAX;
+    // Probe via the member contained in the fewest kept sets; a member no
+    // kept set contains settles it at once.
+    const std::vector<Posting>* probe = nullptr;
     for (VertexId v : s) {
       auto it = index.find(v);
-      const size_t c = it == index.end() ? 0 : it->second.size();
-      if (c < probe_count) {
-        probe_count = c;
-        probe = v;
+      if (it == index.end()) {
+        probe = nullptr;
+        break;
+      }
+      if (probe == nullptr || it->second.size() < probe->size()) {
+        probe = &it->second;
       }
     }
+    const uint64_t sig = SetSignature(s);
     bool subsumed = false;
-    if (probe_count > 0) {
-      for (size_t idx : index[probe]) {
-        const VertexSet& t = kept[idx];
-        if (t.size() > s.size() &&
-            std::includes(t.begin(), t.end(), s.begin(), s.end())) {
+    if (probe != nullptr) {
+      // Rows are appended in processing order, so the strictly larger
+      // sets -- the only possible strict supersets -- form a prefix.
+      for (const Posting& p : *probe) {
+        if (p.size <= s.size()) break;
+        if ((sig & ~p.sig) != 0) continue;
+        const VertexSet& t = sets[p.set];
+        if (std::includes(t.begin(), t.end(), s.begin(), s.end())) {
           subsumed = true;
           break;
         }
       }
     }
     if (subsumed) continue;
-    const size_t idx = kept.size();
-    kept.push_back(std::move(s));
-    for (VertexId v : kept.back()) index[v].push_back(idx);
+    kept.push_back(order[i]);
+    const Posting posting{sig, order[i], static_cast<uint32_t>(s.size())};
+    for (VertexId v : s) index[v].push_back(posting);
   }
-  std::sort(kept.begin(), kept.end());
-  return kept;
+  if (duplicates != nullptr) *duplicates = dups;
+
+  std::sort(kept.begin(), kept.end(),
+            [&](uint32_t a, uint32_t b) { return sets[a] < sets[b]; });
+  std::vector<VertexSet> out;
+  out.reserve(kept.size());
+  for (uint32_t k : kept) out.push_back(sets[k]);
+  return out;
 }
 
 void CanonicalizeResults(std::vector<VertexSet>* sets,
@@ -87,7 +114,6 @@ void CanonicalizeResults(std::vector<VertexSet>* sets,
   for (VertexSet& s : *sets) {
     if (std::is_sorted(s.begin(), s.end())) {
       ++local.sets_already_sorted;
-      local.comparisons_saved += SortCostEstimate(s.size());
     } else {
       // Every emission path sorts; an unsorted set here means a sink
       // contract violation upstream.
@@ -100,7 +126,6 @@ void CanonicalizeResults(std::vector<VertexSet>* sets,
     // FilterMaximal already returns lexicographic order; verifying costs
     // n-1 comparisons instead of the n*log2 n a blind sort would.
     local.vector_sort_skipped = 1;
-    local.comparisons_saved += SortCostEstimate(sets->size());
   } else {
     std::sort(sets->begin(), sets->end());
   }

@@ -13,14 +13,28 @@
 
 namespace qcm {
 
-/// Removes duplicates and sets that are strict subsets of another set.
-/// Input sets must be sorted ascending (the sink contract). Output is
-/// sorted lexicographically for determinism. When `duplicates` is
-/// non-null it receives the number of exact-duplicate candidates removed
-/// -- after a rank recovery this counts the doubly-mined results whose
-/// suppression keeps the final digest identical to a crash-free run.
-std::vector<VertexSet> FilterMaximal(std::vector<VertexSet> sets,
+/// Removes duplicates, empty sets and sets that are strict subsets of
+/// another set. Input sets must be sorted ascending (the sink contract);
+/// `sets` itself is left untouched and only the kept sets are copied out.
+/// Output is sorted lexicographically for determinism. When `duplicates`
+/// is non-null it receives the number of exact-duplicate candidates
+/// removed -- after a rank recovery this counts the doubly-mined results
+/// whose suppression keeps the final digest identical to a crash-free run.
+///
+/// One sort of an index permutation by (size desc, lex) yields both the
+/// dedup and the larger-first order, so every strict superset of a
+/// candidate is already kept when the candidate is probed. The probe walks
+/// the inverted-index row of the candidate's rarest member; each posting
+/// carries the kept set's SetSignature, and std::includes runs only when
+/// the signatures allow containment.
+std::vector<VertexSet> FilterMaximal(const std::vector<VertexSet>& sets,
                                      size_t* duplicates = nullptr);
+
+/// 64-bit hashed-vertex signature: the OR of one hash-chosen bit per
+/// member. s subset of t implies SetSignature(s) & ~SetSignature(t) == 0,
+/// so a nonzero result rules containment out; a zero result proves
+/// nothing.
+uint64_t SetSignature(const VertexSet& s);
 
 /// What CanonicalizeResults actually had to do. Every set reaching it is
 /// sorted at emission (ResultSink contract) and FilterMaximal returns a
@@ -30,14 +44,13 @@ struct CanonicalizeStats {
   uint64_t sets_already_sorted = 0;  // per-set re-sorts skipped
   uint64_t sets_resorted = 0;        // sink-contract violations (debug: assert)
   uint64_t vector_sort_skipped = 0;  // 1 iff the whole-vector sort was skipped
-  uint64_t comparisons_saved = 0;    // ~n*ceil(log2 n) per skipped sort
 };
 
 /// Canonical form for comparing result sets across runs and deployments:
 /// every set sorted ascending, the sets sorted lexicographically.
 /// Sets arrive sorted (emission invariant) and FilterMaximal output is
 /// already fully canonical, so this asserts/verifies instead of re-sorting
-/// wherever possible; `stats` (optional) reports the comparisons saved.
+/// wherever possible; `stats` (optional) reports which sorts were needed.
 /// A per-set violation asserts in debug builds and falls back to sorting
 /// in release builds.
 void CanonicalizeResults(std::vector<VertexSet>* sets,

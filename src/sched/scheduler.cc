@@ -148,6 +148,7 @@ void Scheduler::OnComputeResult(TaskPtr task, ComputeStatus status,
 
 void Scheduler::SubmitNew(TaskPtr task, LocalQueue& local) {
   deps_.pending->fetch_add(1);
+  CountCreated(*task);
   // Registered before the parent's own kDone can decrement the root's
   // outstanding count (AddTask runs inside the parent's compute round),
   // so a tracked root's subtree count never touches zero early.
@@ -168,12 +169,17 @@ void Scheduler::Enqueue(TaskPtr task, LocalQueue& local) {
       << "enqueue of a task in state "
       << TaskStateName(task->sched_info().state);
   if (task->SizeHint() > deps_.config->tau_split) {
-    deps_.counters->big_tasks.fetch_add(1, std::memory_order_relaxed);
     deps_.global_queue->Push(std::move(task));
   } else {
-    deps_.counters->small_tasks.fetch_add(1, std::memory_order_relaxed);
     PushLocal(local, std::move(task));
   }
+}
+
+bool Scheduler::CountCreated(const Task& task) {
+  const bool big = task.SizeHint() > deps_.config->tau_split;
+  (big ? deps_.counters->big_tasks : deps_.counters->small_tasks)
+      .fetch_add(1, std::memory_order_relaxed);
+  return big;
 }
 
 void Scheduler::OnResumed(TaskPtr task, LocalQueue& local) {
@@ -192,7 +198,7 @@ void Scheduler::OnResumed(TaskPtr task, LocalQueue& local) {
 
 bool Scheduler::AdmitSpawned(TaskPtr task, LocalQueue& local) {
   deps_.pending->fetch_add(1);
-  const bool big = task->SizeHint() > deps_.config->tau_split;
+  const bool big = CountCreated(*task);
   if (deps_.config->spawn_prefetch &&
       prefetching_.load(std::memory_order_relaxed) <
           deps_.config->prefetch_limit) {

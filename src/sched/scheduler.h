@@ -141,6 +141,12 @@ class Scheduler {
   /// machine's global queue, small ones to `local`.
   void Enqueue(TaskPtr task, LocalQueue& local);
 
+  /// Classifies a task once, at creation (spawn or SubmitNew): bumps
+  /// big_tasks or small_tasks and returns true when it is big. Requeues
+  /// and resumes re-route through Enqueue without counting again, so a
+  /// crash-free run ends with big_tasks + small_tasks == tasks_completed.
+  bool CountCreated(const Task& task);
+
   /// A task released by the PullBroker (prefetch or suspension pull
   /// complete): advance it to kReady and route it.
   void OnResumed(TaskPtr task, LocalQueue& local);

@@ -287,7 +287,7 @@ TEST(EndToEndParityTest, SerialMinerAcrossGammaTauGrid) {
         auto report = miner.Run(src, &sink);
         ASSERT_TRUE(report.ok());
         reports[mode] = report.value();
-        auto maximal = FilterMaximal(std::move(sink.results()));
+        auto maximal = FilterMaximal(sink.results());
         digests[mode] = ResultSetDigest(maximal);
       }
       EXPECT_EQ(digests[0], digests[1])

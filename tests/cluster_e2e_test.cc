@@ -106,6 +106,20 @@ long long JsonCounter(const std::string& json, const std::string& key,
   return std::atoll(json.c_str() + pos + needle.size());
 }
 
+/// Each task is classified big or small once, when created, so the
+/// whole-job counters of a crash-free run add up to the completed tasks
+/// (a task stolen by another rank is created on one and completed on the
+/// other, hence the merged counters).
+void ExpectTaskCountersAddUp(const std::string& json, size_t merged_at) {
+  const long long big = JsonCounter(json, "big_tasks", merged_at);
+  const long long small = JsonCounter(json, "small_tasks", merged_at);
+  const long long done = JsonCounter(json, "tasks_completed", merged_at);
+  ASSERT_GE(big, 0) << json;
+  ASSERT_GE(small, 0) << json;
+  EXPECT_GT(done, 0) << json;
+  EXPECT_EQ(big + small, done) << json;
+}
+
 // Out-of-core acceptance: pack once with qcm_pack, hand the snapshot to a
 // 3-process cluster whose per-rank adjacency budget is a tiny fraction of
 // the partition (two 4 KiB frames), and require the digest to stay
@@ -145,6 +159,7 @@ TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
   EXPECT_GT(JsonCounter(json, "graph_page_ins", merged_at), 0) << json;
   EXPECT_GT(JsonCounter(json, "graph_page_evictions", merged_at), 0)
       << json;
+  ExpectTaskCountersAddUp(json, merged_at);
 
   // Workers mapped the snapshot instead of materializing the graph.
   const std::string worker_log = ReadFile(log_dir + "/worker0.log");
@@ -210,6 +225,9 @@ TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
   EXPECT_NE(json.find("\"merged\""), std::string::npos);
   EXPECT_NE(json.find("\"tasks_completed\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit_ratio\""), std::string::npos);
+  const size_t merged_at = json.find("\"merged\"");
+  ASSERT_NE(merged_at, std::string::npos) << json;
+  ExpectTaskCountersAddUp(json, merged_at);
   std::remove(json_path.c_str());
 }
 

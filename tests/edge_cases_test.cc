@@ -77,7 +77,7 @@ TEST(EdgeCaseTest, SingleEdgeAtMinSizeTwo) {
   opts.min_size = 2;
   VectorSink sink;
   ASSERT_TRUE(SerialMiner(opts).Run(g, &sink).ok());
-  auto maximal = FilterMaximal(std::move(sink.results()));
+  auto maximal = FilterMaximal(sink.results());
   EXPECT_EQ(maximal, (std::vector<VertexSet>{{0, 1}}));
 }
 
@@ -90,7 +90,7 @@ TEST(EdgeCaseTest, StarHasNoLargeQuasiCliques) {
   opts.min_size = 3;
   VectorSink sink;
   ASSERT_TRUE(SerialMiner(opts).Run(g, &sink).ok());
-  EXPECT_TRUE(FilterMaximal(std::move(sink.results())).empty());
+  EXPECT_TRUE(FilterMaximal(sink.results()).empty());
 }
 
 TEST(EdgeCaseTest, StarAtGammaHalf) {
@@ -102,7 +102,7 @@ TEST(EdgeCaseTest, StarAtGammaHalf) {
   opts.min_size = 3;
   VectorSink sink;
   ASSERT_TRUE(SerialMiner(opts).Run(g, &sink).ok());
-  auto mined = FilterMaximal(std::move(sink.results()));
+  auto mined = FilterMaximal(sink.results());
   auto oracle = std::move(NaiveMaximalQuasiCliques(g, 0.5, 3)).value();
   EXPECT_EQ(mined, oracle);
   EXPECT_FALSE(mined.empty());
@@ -134,7 +134,7 @@ TEST(EdgeCaseTest, DisconnectedComponentsMinedIndependently) {
   opts.min_size = 3;
   VectorSink sink;
   ASSERT_TRUE(SerialMiner(opts).Run(g, &sink).ok());
-  auto maximal = FilterMaximal(std::move(sink.results()));
+  auto maximal = FilterMaximal(sink.results());
   EXPECT_EQ(maximal,
             (std::vector<VertexSet>{{0, 1, 2, 3}, {4, 5, 6, 7}}));
 }
@@ -176,7 +176,7 @@ TEST(EdgeCaseTest, GammaOneMeansMaximalCliques) {
     opts.min_size = 3;
     VectorSink sink;
     ASSERT_TRUE(SerialMiner(opts).Run(g, &sink).ok());
-    EXPECT_EQ(FilterMaximal(std::move(sink.results())),
+    EXPECT_EQ(FilterMaximal(sink.results()),
               std::move(NaiveMaximalQuasiCliques(g, 1.0, 3)).value())
         << "seed=" << seed;
   }
@@ -194,7 +194,7 @@ TEST(EdgeCaseTest, FilterMaximalChainOfSupersets) {
     s.push_back(v);
     sets.push_back(s);  // {0}, {0,1}, ..., {0..19}
   }
-  auto out = FilterMaximal(std::move(sets));
+  auto out = FilterMaximal(sets);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].size(), 20u);
 }
@@ -216,7 +216,7 @@ TEST(EdgeCaseTest, ParamsAtDomainBoundaries) {
   VectorSink sink;
   auto report = SerialMiner(opts).Run(g, &sink);
   ASSERT_TRUE(report.ok());
-  auto mined = FilterMaximal(std::move(sink.results()));
+  auto mined = FilterMaximal(sink.results());
   EXPECT_EQ(mined, std::move(NaiveMaximalQuasiCliques(g, 0.5, 2)).value());
 }
 

@@ -423,7 +423,7 @@ TEST(SharedBuilderEndToEnd, SerialAndParallelMaximalParity) {
   VectorSink sink;
   SerialMiner serial(opts);
   ASSERT_TRUE(serial.Run(g, &sink).ok());
-  auto serial_maximal = FilterMaximal(std::move(sink.results()));
+  auto serial_maximal = FilterMaximal(sink.results());
   ASSERT_FALSE(serial_maximal.empty());
 
   EngineConfig config;

@@ -10,6 +10,7 @@
 
 #include "graph/generators.h"
 #include "gthinker/engine.h"
+#include "mining/parallel_miner.h"
 #include "mining/qc_task.h"
 
 namespace qcm {
@@ -212,6 +213,40 @@ TEST(EngineTest, BigTaskRoutingBySizeHint) {
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->counters.big_tasks, 0u);
   EXPECT_GT(report->counters.small_tasks, 0u);
+  // Every spawned task requeues once; each task is still classified once.
+  EXPECT_EQ(report->counters.big_tasks + report->counters.small_tasks,
+            report->counters.tasks_completed);
+}
+
+TEST(EngineTest, TaskCountersClassifyEachTaskOnceUnderSuspensions) {
+  // Four machines and a tiny vertex cache: QC tasks suspend on remote
+  // pulls and re-enter the queues when resumed, and time-delayed
+  // decomposition creates subtasks. Neither re-entry may count again.
+  auto g = std::move(GenPlantedCommunities({.num_vertices = 220,
+                                            .background_edges = 400,
+                                            .background =
+                                                BackgroundModel::kErdosRenyi,
+                                            .num_communities = 5,
+                                            .community_min = 8,
+                                            .community_max = 12,
+                                            .intra_density = 0.92,
+                                            .overlap_fraction = 0.25,
+                                            .seed = 41}))
+               .value();
+  EngineConfig config = BaseConfig();
+  config.mining.gamma = 0.85;
+  config.mining.min_size = 6;
+  config.num_machines = 4;
+  config.threads_per_machine = 2;
+  config.tau_split = 16;
+  config.tau_time = 0.001;
+  config.vertex_cache_capacity = 8;
+  auto result = ParallelMiner(config).Run(g);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const EngineCountersSnapshot& c = result->report.counters;
+  EXPECT_GT(c.task_suspensions, 0u);
+  EXPECT_GT(c.tasks_completed, 0u);
+  EXPECT_EQ(c.big_tasks + c.small_tasks, c.tasks_completed);
 }
 
 TEST(EngineTest, StealingKeepsResultsCorrect) {

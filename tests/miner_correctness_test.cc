@@ -25,7 +25,7 @@ std::vector<VertexSet> MineMaximal(const Graph& g,
   SerialMiner miner(opts);
   auto report = miner.Run(g, &sink);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  return FilterMaximal(std::move(sink.results()));
+  return FilterMaximal(sink.results());
 }
 
 std::vector<VertexSet> Oracle(const Graph& g, double gamma,

@@ -417,7 +417,7 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
       ASSERT_TRUE(DecodeEngineReport(&dec, &decoded[r]).ok());
     }
     *out_merged = MergeEngineReports(decoded);
-    *out_results = FilterMaximal(std::move(out_merged->results));
+    *out_results = FilterMaximal(out_merged->results);
     CanonicalizeResults(out_results);
   };
 

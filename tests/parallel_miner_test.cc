@@ -23,7 +23,7 @@ std::vector<VertexSet> SerialMaximal(const Graph& g,
   SerialMiner miner(opts);
   auto report = miner.Run(g, &sink);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  return FilterMaximal(std::move(sink.results()));
+  return FilterMaximal(sink.results());
 }
 
 ParallelMineResult ParallelRun(const Graph& g, EngineConfig config) {

@@ -96,7 +96,7 @@ TEST(MaximalityFilterTest, RemovesSubsetsAndDuplicates) {
   std::vector<VertexSet> sets = {
       {1, 2, 3}, {1, 2}, {1, 2, 3}, {2, 3}, {4, 5}, {1, 2, 3, 4},
   };
-  auto out = FilterMaximal(std::move(sets));
+  auto out = FilterMaximal(sets);
   // {1,2,3} is subsumed by {1,2,3,4}; {1,2} and {2,3} by {1,2,3,4} too.
   EXPECT_EQ(out, (std::vector<VertexSet>{{1, 2, 3, 4}, {4, 5}}));
 }

@@ -355,7 +355,7 @@ TEST(FilterMaximalTest, CountsSuppressedDuplicates) {
   std::vector<VertexSet> sets = {
       {1, 2, 3}, {4, 5}, {1, 2, 3}, {1, 2}, {4, 5}, {1, 2, 3}};
   size_t duplicates = 0;
-  std::vector<VertexSet> out = FilterMaximal(std::move(sets), &duplicates);
+  std::vector<VertexSet> out = FilterMaximal(sets, &duplicates);
   // Three extra copies removed ({1,2,3} x2, {4,5} x1); {1,2} is a strict
   // subset, removed by maximality, not counted as a duplicate.
   EXPECT_EQ(duplicates, 3u);
@@ -368,8 +368,8 @@ TEST(FilterMaximalTest, CountsSuppressedDuplicates) {
   std::vector<VertexSet> once = {{1, 2, 3}, {4, 5}};
   std::vector<VertexSet> twice = once;
   twice.insert(twice.end(), once.begin(), once.end());
-  std::vector<VertexSet> a = FilterMaximal(std::move(once));
-  std::vector<VertexSet> b = FilterMaximal(std::move(twice));
+  std::vector<VertexSet> a = FilterMaximal(once);
+  std::vector<VertexSet> b = FilterMaximal(twice);
   EXPECT_EQ(ResultSetDigest(a), ResultSetDigest(b));
 }
 

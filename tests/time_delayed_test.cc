@@ -78,7 +78,7 @@ TEST(TimeDelayedTest, DrainingSubtasksReproducesFullResults) {
     VectorSink ref_sink;
     SerialMiner miner(opts);
     ASSERT_TRUE(miner.Run(g, &ref_sink).ok());
-    auto expected = FilterMaximal(std::move(ref_sink.results()));
+    auto expected = FilterMaximal(ref_sink.results());
 
     // Time-delayed with immediate timeout: every level decomposes.
     LocalGraph local = FromGraph(g);
@@ -100,7 +100,7 @@ TEST(TimeDelayedTest, DrainingSubtasksReproducesFullResults) {
                                &queue, &wrapped);
     }
     EXPECT_GT(wrapped, 0u) << "decomposition never triggered";
-    EXPECT_EQ(FilterMaximal(std::move(sink.results())), expected)
+    EXPECT_EQ(FilterMaximal(sink.results()), expected)
         << "seed=" << seed;
   }
 }

@@ -947,10 +947,13 @@ int main(int argc, char** argv) {
   EngineReport merged = MergeEngineReports(rank_reports);
   const size_t raw_candidates = merged.results.size();
   size_t duplicates_suppressed = 0;
+  // The job's one maximality pass, over the union of the ranks' raw
+  // candidates.
+  WallTimer filter_timer;
   std::vector<VertexSet> results =
-      args.no_filter
-          ? std::move(merged.results)
-          : FilterMaximal(std::move(merged.results), &duplicates_suppressed);
+      args.no_filter ? std::move(merged.results)
+                     : FilterMaximal(merged.results, &duplicates_suppressed);
+  const double filter_seconds = filter_timer.Seconds();
 
   std::fprintf(stderr, "%zu %s quasi-cliques in %.3f s\n", results.size(),
                args.no_filter ? "candidate" : "maximal",
@@ -973,6 +976,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(steal_commands),
         static_cast<unsigned long long>(merged.counters.pulled_vertices),
         static_cast<unsigned long long>(raw_candidates));
+    if (!args.no_filter) {
+      std::fprintf(stderr,
+                   "filter: %zu raw -> %zu maximal, %zu duplicates, %.3f s\n",
+                   raw_candidates, results.size(), duplicates_suppressed,
+                   filter_seconds);
+    }
     std::fprintf(
         stderr,
         "graph: %llu page pins, %llu page-ins, %llu evictions, "
