@@ -1,6 +1,9 @@
 #include "graph/kcore.h"
 
 #include <algorithm>
+#include <string>
+
+#include "util/logging.h"
 
 namespace qcm {
 
@@ -57,20 +60,98 @@ std::vector<uint32_t> CoreDecomposition(const Graph& g) {
   return core;
 }
 
+namespace {
+
+/// Threshold peel shared by the Graph and snapshot overloads. Degrees
+/// come from the row extents, so a snapshot is peeled from exactly the
+/// adjacency ToGraph() would rebuild. degree[v] >= k doubles as "v is
+/// alive": a vertex is pushed once, when its degree first drops below k,
+/// and is never decremented again, so the cascade touches one array.
+template <typename G>
+Status PeelBelow(const G& g, uint32_t k, std::vector<uint8_t>* alive) {
+  const uint32_t n = g.NumVertices();
+  std::vector<uint32_t> degree(n);
+  std::vector<VertexId> peeled;
+  for (VertexId v = 0; v < n; ++v) {
+    degree[v] = static_cast<uint32_t>(g.Neighbors(v).size());
+    if (degree[v] < k) peeled.push_back(v);
+  }
+  while (!peeled.empty()) {
+    const VertexId v = peeled.back();
+    peeled.pop_back();
+    for (VertexId u : g.Neighbors(v)) {
+      if (u >= n) {
+        return Status::Corruption("vertex " + std::to_string(v) +
+                                  " lists neighbor " + std::to_string(u) +
+                                  " >= " + std::to_string(n) +
+                                  " vertices");
+      }
+      if (degree[u] >= k && --degree[u] < k) peeled.push_back(u);
+    }
+  }
+  alive->resize(n);
+  for (VertexId v = 0; v < n; ++v) (*alive)[v] = degree[v] >= k;
+  return Status::OK();
+}
+
+}  // namespace
+
 std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k) {
-  std::vector<uint32_t> core = CoreDecomposition(g);
-  std::vector<uint8_t> mask(g.NumVertices(), 0);
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    mask[v] = core[v] >= k ? 1 : 0;
+  std::vector<uint8_t> mask;
+  // A Graph's neighbor ids are < n by construction.
+  QCM_CHECK(PeelBelow(g, k, &mask).ok());
+  return mask;
+}
+
+StatusOr<std::vector<uint8_t>> KCoreMask(const CsrSnapshot& snapshot,
+                                         uint32_t k) {
+  std::vector<uint8_t> mask;
+  Status s = PeelBelow(snapshot, k, &mask);
+  if (!s.ok()) {
+    return Status::Corruption(snapshot.path() + ": " +
+                              CsrSectionName(kCsrAdjacency) +
+                              " section: " + s.message());
   }
   return mask;
 }
 
 uint64_t KCoreSize(const Graph& g, uint32_t k) {
-  std::vector<uint8_t> mask = KCoreMask(g, k);
+  return CountAlive(KCoreMask(g, k));
+}
+
+uint64_t CountAlive(const std::vector<uint8_t>& mask) {
   uint64_t count = 0;
-  for (uint8_t m : mask) count += m;
+  for (uint8_t m : mask) count += m != 0;
   return count;
+}
+
+std::string PackVertexMask(const std::vector<uint8_t>& mask) {
+  std::string bits((mask.size() + 7) / 8, '\0');
+  for (size_t v = 0; v < mask.size(); ++v) {
+    if (mask[v]) bits[v / 8] |= static_cast<char>(1u << (v % 8));
+  }
+  return bits;
+}
+
+Status UnpackVertexMask(const std::string& bits, uint32_t num_vertices,
+                        std::vector<uint8_t>* mask) {
+  const size_t want = (static_cast<size_t>(num_vertices) + 7) / 8;
+  if (bits.size() != want) {
+    return Status::InvalidArgument(
+        "vertex mask has " + std::to_string(bits.size()) +
+        " bytes, a " + std::to_string(num_vertices) +
+        "-vertex graph needs " + std::to_string(want));
+  }
+  if (num_vertices % 8 != 0 &&
+      (static_cast<uint8_t>(bits.back()) >> (num_vertices % 8)) != 0) {
+    return Status::Corruption("vertex mask sets bits past vertex " +
+                              std::to_string(num_vertices));
+  }
+  mask->resize(num_vertices);
+  for (uint32_t v = 0; v < num_vertices; ++v) {
+    (*mask)[v] = (static_cast<uint8_t>(bits[v / 8]) >> (v % 8)) & 1u;
+  }
+  return Status::OK();
 }
 
 }  // namespace qcm

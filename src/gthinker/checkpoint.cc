@@ -4,7 +4,9 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "util/serde.h"
 #include "util/timer.h"
@@ -102,6 +104,26 @@ Status CheckpointLog::Open(const std::string& dir, uint32_t epoch,
   return Status::OK();
 }
 
+void CheckpointLog::Append(const std::string& record) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!holding_) {
+      AppendLocked(record);
+      if (hold_ && file_ != nullptr) {
+        std::fflush(file_);  // the hold point must be durable
+        ++flushes_;
+        holding_ = hold_();
+        hold_ = nullptr;
+      }
+      if (!holding_) return;
+    }
+  }
+  // Fault-injection hold: park this appender (and every later one) with
+  // the lock released, so observers such as the manifest writer and the
+  // rank's status loop keep running until the process is killed.
+  for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+}
+
 void CheckpointLog::AppendLocked(const std::string& record) {
   if (file_ == nullptr) return;
   std::fwrite(record.data(), 1, record.size(), file_);
@@ -116,13 +138,16 @@ void CheckpointLog::AppendLocked(const std::string& record) {
 }
 
 void CheckpointLog::AppendResult(const VertexSet& result) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AppendLocked(EncodeResultRecord(result));
+  Append(EncodeResultRecord(result));
 }
 
 void CheckpointLog::AppendRootDone(VertexId root) {
+  Append(EncodeRootDoneRecord(root));
+}
+
+void CheckpointLog::HoldAfterFirstRecord(std::function<bool()> hold) {
   std::lock_guard<std::mutex> lock(mu_);
-  AppendLocked(EncodeRootDoneRecord(root));
+  hold_ = std::move(hold);
 }
 
 void CheckpointLog::Flush() {

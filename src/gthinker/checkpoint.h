@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -78,6 +79,14 @@ class CheckpointLog {
   /// Forces buffered records to the page cache.
   void Flush();
 
+  /// Fault-injection hook: the first record appended after this call is
+  /// flushed at once (made durable), and if `hold()` then returns true
+  /// that appender and every later one block forever without writing --
+  /// the rank stops at that exact progress point until it is killed.
+  /// `hold` runs with the log's lock held, so no other record can land
+  /// between the durable first record and the decision.
+  void HoldAfterFirstRecord(std::function<bool()> hold);
+
   /// Atomically (tmp + rename) rewrites <dir>/manifest with `contents`.
   Status WriteManifest(const std::string& contents);
 
@@ -93,6 +102,8 @@ class CheckpointLog {
   static void ParseRecords(const std::string& bytes, LoadResult* out);
 
  private:
+  /// Appends one record, honoring the fault-injection hold.
+  void Append(const std::string& record);
   void AppendLocked(const std::string& record);
 
   mutable std::mutex mu_;
@@ -102,6 +113,8 @@ class CheckpointLog {
   int64_t last_flush_usec_ = 0;
   uint64_t flushes_ = 0;
   uint64_t bytes_appended_ = 0;
+  std::function<bool()> hold_;
+  bool holding_ = false;
 };
 
 /// Tracks, per locally-spawned root, how many of its subtree's tasks are

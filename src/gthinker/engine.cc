@@ -229,8 +229,12 @@ void RecordStatsCounters(const WireStatsSample& s) {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine(const Graph* graph, EngineConfig config, App* app)
-    : graph_(graph), config_(std::move(config)), app_(app) {}
+Engine::Engine(const Graph* graph, EngineConfig config, App* app,
+               std::vector<uint8_t> alive)
+    : graph_(graph),
+      alive_(std::move(alive)),
+      config_(std::move(config)),
+      app_(app) {}
 
 Engine::Engine(std::unique_ptr<VertexTable> table, EngineConfig config,
                App* app, Transport* transport)
@@ -609,6 +613,11 @@ StatusOr<EngineReport> Engine::Run() {
     counters_.recovered_results.store(recovered_results_.size(),
                                       std::memory_order_relaxed);
     root_progress_ = std::make_unique<RootProgress>(ckpt_log_.get());
+    if (hold_after_first_checkpoint_) {
+      ckpt_log_->HoldAfterFirstRecord([this] {
+        return root_progress_->tracked() > 0 || !SpawnExhausted();
+      });
+    }
     if (transport_->epoch() > 0) {
       QCM_ILOG << "rank " << transport_->rank() << " epoch "
                << transport_->epoch() << ": replayed " << replay.records
@@ -622,6 +631,7 @@ StatusOr<EngineReport> Engine::Run() {
   WallTimer wall;
   if (!distributed()) {
     table_ = std::make_unique<VertexTable>(graph_, config_.num_machines);
+    if (!alive_.empty()) table_->SetAliveMask(std::move(alive_));
   }
   fabric_ = std::make_unique<CommFabric>(
       config_.num_machines, config_.net_latency_ticks,
@@ -782,6 +792,14 @@ StatusOr<EngineReport> Engine::Run() {
   }
   report.peak_rss_bytes = PeakRssBytes();
 
+  // Size the gathered result vector once: growing it by doubling while
+  // every comper's candidates are still alive is the job's RSS peak on
+  // candidate-heavy runs.
+  size_t total_results = recovered_results_.size();
+  for (const auto& comper : compers) {
+    total_results += comper->sink_.results().size();
+  }
+  report.results.reserve(total_results);
   std::unordered_map<VertexId, RootTaskAgg> root_aggs;
   for (auto& comper : compers) {
     ThreadMetrics& tm = comper->metrics_;

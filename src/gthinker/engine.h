@@ -78,8 +78,10 @@ namespace qcm {
 class Engine {
  public:
   /// Simulated mode: all of config.num_machines live in this process.
-  /// `graph` and `app` must outlive the engine.
-  Engine(const Graph* graph, EngineConfig config, App* app);
+  /// `graph` and `app` must outlive the engine. A non-empty `alive` mask
+  /// (one entry per vertex) is installed with VertexTable::SetAliveMask.
+  Engine(const Graph* graph, EngineConfig config, App* app,
+         std::vector<uint8_t> alive = {});
 
   /// Process-per-machine mode: this engine runs machine
   /// `transport->rank()` of a `transport->world_size()`-machine cluster
@@ -94,6 +96,14 @@ class Engine {
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
+
+  /// Fault-injection hook for recovery tests (qcm_worker sets it on the
+  /// first incarnation of the rank QCM_SMOKE_KILL_RANK names): the rank
+  /// stops at a fixed progress point -- right after its first checkpoint
+  /// record is durable, while it still has unfinished roots -- and stays
+  /// there until it is killed. Distributed mode with checkpointing; call
+  /// before Run().
+  void HoldAfterFirstCheckpoint() { hold_after_first_checkpoint_ = true; }
 
   /// Executes the job to completion and returns the merged report (this
   /// process's machines only; a cluster launcher merges per-rank
@@ -141,6 +151,8 @@ class Engine {
   bool SpawnExhausted() const;
 
   const Graph* graph_;
+  /// Simulated mode's alive mask, moved into the table by Run().
+  std::vector<uint8_t> alive_;
   EngineConfig config_;
   App* app_;
   Transport* transport_ = nullptr;
@@ -160,6 +172,7 @@ class Engine {
   /// Durable progress log + replay of a crashed predecessor (see
   /// gthinker/checkpoint.h). Null when config_.checkpoint_dir is empty.
   std::unique_ptr<CheckpointLog> ckpt_log_;
+  bool hold_after_first_checkpoint_ = false;
   std::unique_ptr<RootProgress> root_progress_;
   /// Spawn roots the previous incarnation fully mined (skipped at spawn).
   std::unordered_set<VertexId> completed_roots_;

@@ -54,6 +54,7 @@ EngineCountersSnapshot EngineCountersSnapshot::From(const EngineCounters& c) {
   s.pulled_vertices = c.pulled_vertices.load(std::memory_order_relaxed);
   s.pull_bytes = c.pull_bytes.load(std::memory_order_relaxed);
   s.tasks_completed = c.tasks_completed.load(std::memory_order_relaxed);
+  s.tasks_spawned = c.tasks_spawned.load(std::memory_order_relaxed);
   for (int t = 0; t < kNumMessageTypes; ++t) {
     s.msg_sent[t] = c.msg_sent[t].load(std::memory_order_relaxed);
     s.msg_delivered[t] = c.msg_delivered[t].load(std::memory_order_relaxed);
@@ -198,6 +199,7 @@ constexpr CounterField kCounterFields[] = {
     {"pulled_vertices", &EngineCountersSnapshot::pulled_vertices, false},
     {"pull_bytes", &EngineCountersSnapshot::pull_bytes, false},
     {"tasks_completed", &EngineCountersSnapshot::tasks_completed, false},
+    {"tasks_spawned", &EngineCountersSnapshot::tasks_spawned, false},
     {"msg_drained", &EngineCountersSnapshot::msg_drained, false},
     {"msg_inflight_bytes_peak",
      &EngineCountersSnapshot::msg_inflight_bytes_peak, true},

@@ -59,7 +59,6 @@ struct ThreadMetrics {
   double build_seconds = 0.0;
 
   uint64_t tasks_processed = 0;
-  uint64_t tasks_spawned = 0;
   uint64_t subtasks_created = 0;
 
   MiningStats mining_stats;
@@ -121,6 +120,9 @@ struct EngineCounters {
   /// Bytes of adjacency moved by batched pulls.
   std::atomic<uint64_t> pull_bytes{0};
   std::atomic<uint64_t> tasks_completed{0};
+  /// Root tasks App::Spawn created (spawn vertices that passed the
+  /// degree threshold; at most the global k-core's size).
+  std::atomic<uint64_t> tasks_spawned{0};
 
   // -- CommFabric message accounting (indexed by MessageType) --
 
@@ -199,6 +201,7 @@ struct EngineCountersSnapshot {
   uint64_t pulled_vertices = 0;
   uint64_t pull_bytes = 0;
   uint64_t tasks_completed = 0;
+  uint64_t tasks_spawned = 0;
 
   uint64_t msg_sent[kNumMessageTypes] = {};
   uint64_t msg_delivered[kNumMessageTypes] = {};

@@ -66,6 +66,13 @@ VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
   paged_ = std::make_unique<PagedAdjacencyStore>(snapshot_, store_config);
 }
 
+void VertexTable::SetAliveMask(std::vector<uint8_t> alive) {
+  QCM_CHECK(alive.size() == NumVertices())
+      << "alive mask covers " << alive.size() << " of " << NumVertices()
+      << " vertices";
+  alive_ = std::move(alive);
+}
+
 std::span<const VertexId> VertexTable::Adjacency(VertexId v) const {
   if (graph_ != nullptr) return graph_->Neighbors(v);
   if (snapshot_ != nullptr) {

@@ -85,7 +85,16 @@ class VertexTable {
   /// (QCM_CHECK -- a remote adjacency physically is not here).
   std::span<const VertexId> Adjacency(VertexId v) const;
 
+  /// Installs the global k-core (paper §4 T1): a vertex with alive[v] ==
+  /// 0 reports degree 0 from then on. Spawn, first-hop qualification,
+  /// spawn-time prefetch and the 2-hop pull set all threshold on Degree,
+  /// so a peeled vertex is never spawned, staged or pulled. Adjacency()
+  /// still serves it. `alive` must have NumVertices() entries; call
+  /// before the engine runs.
+  void SetAliveMask(std::vector<uint8_t> alive);
+
   uint32_t Degree(VertexId v) const {
+    if (!alive_.empty() && alive_[v] == 0) return 0;
     if (graph_ != nullptr) return graph_->Degree(v);
     if (snapshot_ != nullptr) return snapshot_->Degree(v);
     return degrees_[v];
@@ -114,6 +123,8 @@ class VertexTable {
   int num_machines_;
   int local_rank_ = -1;
   std::vector<std::vector<VertexId>> owned_;
+  /// Global k-core membership; empty = every vertex alive.
+  std::vector<uint8_t> alive_;
 
   // Partitioned-mode storage: degree of every vertex; CSR rows only for
   // vertices owned by local_rank_ (others have zero extent).

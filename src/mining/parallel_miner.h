@@ -29,6 +29,11 @@ struct ParallelMineResult {
   /// Wall seconds of the one FilterMaximal pass (not in
   /// report.wall_seconds, which ends with the engine).
   double filter_seconds = 0;
+  /// Vertices of the global k-core the engine mined (paper §4 T1;
+  /// mirrors SerialMineReport::kcore_size) and the peel's wall seconds
+  /// (not in report.wall_seconds, which starts with the engine).
+  uint64_t kcore_vertices = 0;
+  double kcore_seconds = 0;
   /// Full engine metrics and per-thread/per-root accounting. Its
   /// `results` keep the raw candidates, unfiltered.
   EngineReport report;
@@ -38,7 +43,8 @@ class ParallelMiner {
  public:
   explicit ParallelMiner(EngineConfig config) : config_(std::move(config)) {}
 
-  /// Mines `graph` to completion.
+  /// Mines `graph` to completion: peels it to the global k-core with
+  /// k = config.mining.MinDegreeK(), then spawns only core vertices.
   StatusOr<ParallelMineResult> Run(const Graph& graph);
 
  private:

@@ -91,7 +91,9 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // launcher packs the graph once and ships the .qcsr path to every rank;
 // EngineReport grew the paged-store counters (page pins / page-ins /
 // evictions / fault-stall time).
-inline constexpr uint32_t kWireProtocolVersion = 6;
+// v7: global k-core pruning. ClusterJobSpec grew the launcher-peeled
+// k-core mask (n bits); EngineReport grew the tasks_spawned counter.
+inline constexpr uint32_t kWireProtocolVersion = 7;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

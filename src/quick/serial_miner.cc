@@ -15,8 +15,10 @@ StatusOr<SerialMineReport> SerialMiner::Run(const Graph& g, ResultSink* sink,
 
   // (T1) size-threshold pruning: shrink to the k-core.
   const uint32_t k = options_.MinDegreeK();
+  WallTimer kcore_timer;
   std::vector<uint8_t> alive = KCoreMask(g, k);
-  for (uint8_t a : alive) report.kcore_size += a;
+  report.kcore_seconds = kcore_timer.Seconds();
+  report.kcore_size = CountAlive(alive);
 
   // The shared materialization layer (Alg. 6-7), reading the CSR graph
   // directly, masked to the global k-core. One scratch serves every root.

@@ -24,6 +24,7 @@ struct SerialMineReport {
   uint64_t roots_processed = 0;  // roots whose ego survived pruning
   uint64_t roots_skipped = 0;    // roots pruned before mining
   uint64_t kcore_size = 0;       // vertices surviving the global k-core
+  double kcore_seconds = 0.0;    // the global k-core peel
   double build_seconds = 0.0;    // ego-network materialization time
   double mine_seconds = 0.0;     // time inside RecursiveMine
   double total_seconds = 0.0;

@@ -303,7 +303,7 @@ void Scheduler::RefillLocal(LocalQueue& local, ComputeContext& ctx) {
     if (deps_.root_progress != nullptr) {
       deps_.root_progress->OnSpawn(owned[idx]);
     }
-    ++ctx.metrics().tasks_spawned;
+    deps_.counters->tasks_spawned.fetch_add(1, std::memory_order_relaxed);
     const bool big = AdmitSpawned(std::move(task), local);
     ++admitted;
     if (big) break;  // avoid generating many big tasks out of one refill

@@ -15,9 +15,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "graph/generators.h"
+#include "graph/kcore.h"
+#include "quick/quasi_clique.h"
 
 namespace {
 
@@ -212,6 +218,88 @@ TEST(ClusterE2ETest, LegacyNoSnapshotPathStillMatches) {
   ASSERT_EQ(single_digest.size(), 16u) << single.output;
   EXPECT_EQ(single_digest, Digest(cluster.output))
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
+}
+
+/// Size of the global k-core the ranks may spawn from: the test's own
+/// in-process peel of the graph every tool builds from kGraphSpec.
+uint64_t ExpectedKCoreSize() {
+  auto spec = qcm::ParsePlantedSpec(kGraphSpec, /*seed=*/3);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  auto g = qcm::GenPlantedCommunities(spec.value());
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  qcm::MiningOptions mining;
+  mining.gamma = 0.85;
+  mining.min_size = 8;
+  return qcm::KCoreSize(g.value(), mining.MinDegreeK());
+}
+
+// Paper §4 T1 across processes: every rank spawns only global k-core
+// vertices, whether the launcher peeled the snapshot and shipped the mask
+// or each rank peeled the graph it rebuilt.
+TEST(ClusterE2ETest, RanksSpawnOnlyGlobalKCoreVertices) {
+  const uint64_t core = ExpectedKCoreSize();
+  ASSERT_GT(core, 0u);
+  for (const std::string mode : {"", " --no-snapshot"}) {
+    const std::string json_path = ::testing::TempDir() + "/qcm_kcore.json";
+    const RunResult cluster = RunCommand(
+        BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
+        kMiningFlags + " --workers 3 --threads 2 --stats --stats-json " +
+        json_path + mode);
+    ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
+    const std::string json = ReadFile(json_path);
+    const size_t merged_at = json.find("\"merged\"");
+    ASSERT_NE(merged_at, std::string::npos) << json;
+    const long long spawned = JsonCounter(json, "tasks_spawned", merged_at);
+    EXPECT_GT(spawned, 0) << mode << "\n" << json;
+    EXPECT_LE(spawned, static_cast<long long>(core)) << mode << "\n" << json;
+    if (mode.empty()) {
+      EXPECT_NE(cluster.output.find("k-core: " + std::to_string(core) +
+                                    " of 1500 vertices (k=6)"),
+                std::string::npos)
+          << cluster.output;
+    }
+    std::remove(json_path.c_str());
+  }
+}
+
+// The launcher verifies the whole snapshot, adjacency included, before
+// forking anyone: one flipped adjacency byte fails the run up front.
+TEST(ClusterE2ETest, CorruptSnapshotFailsInLauncherBeforeAnyFork) {
+  const std::string snap_path = ::testing::TempDir() + "/qcm_corrupt.qcsr";
+  const std::string log_dir = ::testing::TempDir() + "/qcm_corrupt_logs";
+  std::filesystem::remove_all(log_dir);
+  const RunResult packed = RunCommand(
+      BinDir() + "/qcm_pack --gen-planted " + kGraphSpec +
+      " --seed 3 --page-size 4096 --output " + snap_path);
+  ASSERT_EQ(packed.exit_code, 0) << packed.output;
+
+  std::string bytes = ReadFile(snap_path);
+  ASSERT_GT(bytes.size(), 4096u);
+  uint64_t adj_off = 0;  // section table entry 3 (adjacency), file offset
+  std::memcpy(&adj_off, bytes.data() + 40 + 24 * 3, sizeof(adj_off));
+  ASSERT_LT(adj_off, bytes.size());
+  bytes[adj_off] ^= 0x01;
+  {
+    std::ofstream out(snap_path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const RunResult cluster = RunCommand(
+      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
+      kMiningFlags + " --workers 3 --threads 1 --snapshot " + snap_path +
+      " --log-dir " + log_dir);
+  EXPECT_NE(cluster.exit_code, 0) << cluster.output;
+  EXPECT_NE(cluster.output.find("adjacency section"), std::string::npos)
+      << cluster.output;
+  EXPECT_EQ(cluster.output.find("spawning"), std::string::npos)
+      << cluster.output;
+  ASSERT_TRUE(std::filesystem::is_directory(log_dir));
+  for (const auto& entry : std::filesystem::directory_iterator(log_dir)) {
+    EXPECT_EQ(entry.path().filename().string().rfind("worker", 0),
+              std::string::npos)
+        << "a worker was forked: " << entry.path();
+  }
+  std::remove(snap_path.c_str());
 }
 
 TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {

@@ -15,6 +15,7 @@
 
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
+#include "graph/kcore.h"
 #include "graph/paged_adjacency.h"
 #include "gthinker/engine_config.h"
 #include "gthinker/vertex_table.h"
@@ -292,6 +293,83 @@ TEST(CsrSnapshotTest, UnboundedSnapshotTableServesAllVertices) {
   const PagedStoreStatsSnapshot stats = table.paged_store()->stats();
   EXPECT_EQ(stats.page_ins, 0u);  // paging disabled entirely
   EXPECT_EQ(stats.page_evictions, 0u);
+}
+
+// The launcher peels the snapshot it maps; a rebuilding rank peels the
+// Graph it built. Both must give the same k-core.
+void ExpectKCoreParity(const Graph& g, const std::string& what) {
+  const std::string path = TempPath("kcore_parity.qcsr");
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  auto snap = CsrSnapshot::Open(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto rebuilt = (*snap)->ToGraph();
+  ASSERT_TRUE(rebuilt.ok());
+  for (uint32_t k : {0u, 1u, 3u, 5u, 6u, 9u, 100u}) {
+    auto mapped = KCoreMask(**snap, k);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_EQ(*mapped, KCoreMask(*rebuilt, k)) << what << " k=" << k;
+  }
+}
+
+TEST(CsrSnapshotTest, KCoreMaskMatchesResidentGraph) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    ExpectKCoreParity(std::move(GenErdosRenyi(400, 1200, seed)).value(),
+                      "er seed=" + std::to_string(seed));
+    ExpectKCoreParity(MakePlanted(500, seed),
+                      "planted seed=" + std::to_string(seed));
+  }
+}
+
+// A neighbor id past the vertex range (adjacency not checksum-verified)
+// is a Corruption from the peel, never an out-of-bounds index.
+TEST(CsrSnapshotTest, KCoreMaskRejectsOutOfRangeNeighbor) {
+  const Graph g = MakePlanted(64, 5);
+  const std::string path = TempPath("kcore_bad_neighbor.qcsr");
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  std::string bytes = ReadAll(path);
+  const uint64_t adj_off = ReadAt<uint64_t>(bytes, 40 + 24 * 3);
+  const uint32_t bad = g.NumVertices() + 7;
+  std::memcpy(&bytes[adj_off], &bad, sizeof(bad));
+  WriteAll(path, bytes);
+
+  auto snap = CsrSnapshot::Open(path);  // metadata-only validation
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  // k above every degree peels every vertex, so every row is scanned.
+  auto mask = KCoreMask(**snap, g.MaxDegree() + 1);
+  ASSERT_FALSE(mask.ok());
+  EXPECT_EQ(mask.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(mask.status().ToString().find("adjacency section"),
+            std::string::npos)
+      << mask.status().ToString();
+}
+
+// Every storage mode serves the alive mask the same way: peeled vertices
+// report degree 0, core vertices their degree, adjacency is untouched.
+TEST(CsrSnapshotTest, AliveMaskZeroesOnlyPeeledDegrees) {
+  const Graph g = MakePlanted(300, 17);
+  const std::string path = TempPath("alive_mask.qcsr");
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  auto snap = CsrSnapshot::Open(path);
+  ASSERT_TRUE(snap.ok());
+  const std::vector<uint8_t> alive = KCoreMask(g, 6);
+  ASSERT_GT(CountAlive(alive), 0u);
+  ASSERT_LT(CountAlive(alive), g.NumVertices());
+
+  VertexTable simulated(&g, 2);
+  VertexTable partitioned(g, 2, /*local_rank=*/0);
+  VertexTable mapped(*snap, 2, /*local_rank=*/0, /*graph_memory_budget=*/0);
+  for (VertexTable* table : {&simulated, &partitioned, &mapped}) {
+    table->SetAliveMask(alive);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      EXPECT_EQ(table->Degree(v), alive[v] ? g.Degree(v) : 0u) << v;
+      if (table->Owner(v) != 0) continue;
+      auto want = g.Neighbors(v);
+      auto got = table->Adjacency(v);
+      EXPECT_TRUE(
+          std::equal(want.begin(), want.end(), got.begin(), got.end()))
+          << v;
+    }
+  }
 }
 
 TEST(CsrSnapshotTest, ValidateRejectsBadGraphStorageKnobs) {

@@ -216,6 +216,10 @@ TEST(EngineTest, BigTaskRoutingBySizeHint) {
   // Every spawned task requeues once; each task is still classified once.
   EXPECT_EQ(report->counters.big_tasks + report->counters.small_tasks,
             report->counters.tasks_completed);
+  // TriApp spawns exactly the vertices of degree >= 2 (no alive mask).
+  uint64_t spawnable = 0;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) spawnable += g.Degree(v) >= 2;
+  EXPECT_EQ(report->counters.tasks_spawned, spawnable);
 }
 
 TEST(EngineTest, TaskCountersClassifyEachTaskOnceUnderSuspensions) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "graph/edge_io.h"
@@ -161,6 +162,34 @@ TEST(KCoreTest, CoreMonotoneInK) {
     EXPECT_LE(size, prev);
     prev = size;
   }
+}
+
+TEST(KCoreTest, PackedMaskRoundTrips) {
+  for (uint32_t n : {0u, 1u, 7u, 8u, 9u, 300u}) {
+    std::vector<uint8_t> mask(n);
+    for (uint32_t v = 0; v < n; ++v) mask[v] = (v * 7 + n) % 3 == 0;
+    const std::string bits = PackVertexMask(mask);
+    EXPECT_EQ(bits.size(), (n + 7) / 8) << n;
+    std::vector<uint8_t> back;
+    ASSERT_TRUE(UnpackVertexMask(bits, n, &back).ok()) << n;
+    EXPECT_EQ(back, mask) << n;
+  }
+}
+
+TEST(KCoreTest, UnpackRejectsWrongLengthAndPadBits) {
+  const std::string bits = PackVertexMask(std::vector<uint8_t>(20, 1));
+  ASSERT_EQ(bits.size(), 3u);
+  std::vector<uint8_t> mask;
+  EXPECT_EQ(UnpackVertexMask(bits, 16, &mask).code(),
+            StatusCode::kInvalidArgument);  // needs 2 bytes
+  EXPECT_EQ(UnpackVertexMask(bits, 25, &mask).code(),
+            StatusCode::kInvalidArgument);  // needs 4 bytes
+  EXPECT_EQ(UnpackVertexMask("", 20, &mask).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(UnpackVertexMask(bits, 20, &mask).ok());
+  // 20 vertices leave 4 pad bits in the last byte; bit 20 is one of them.
+  EXPECT_EQ(UnpackVertexMask(bits, 19, &mask).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(EdgeIoTest, RoundTrip) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/kcore.h"
 #include "mining/parallel_miner.h"
 #include "quick/maximality_filter.h"
 #include "quick/naive_enum.h"
@@ -212,6 +213,47 @@ TEST(ParallelMinerTest, MiningTimeDominatesMaterialization) {
   EXPECT_LT(result.report.total_materialize_seconds,
             result.report.total_mining_seconds +
                 result.report.total_build_seconds + 0.5);
+}
+
+// Paper §4 T1 on the engine path: a planted graph on a sparse ER
+// background has a k-core far smaller than the graph, ParallelMiner
+// spawns only core vertices, and the result is still the serial miner's.
+TEST(ParallelMinerTest, GlobalKCoreBoundsSpawnsAndKeepsResults) {
+  auto g = std::move(GenPlantedCommunities(
+                         {.num_vertices = 3000,
+                          .background_edges = 3000,
+                          .background = BackgroundModel::kErdosRenyi,
+                          .num_communities = 6,
+                          .community_min = 10,
+                          .community_max = 14,
+                          .intra_density = 0.95,
+                          .seed = 21}))
+               .value();
+  EngineConfig base = SmallConfig(0.85, 8);
+  const uint32_t k = base.mining.MinDegreeK();
+  const uint64_t core = KCoreSize(g, k);
+  ASSERT_GT(core, 0u);
+  ASSERT_LT(core, g.NumVertices() / 10) << "background is not sparse";
+  uint64_t above_k = 0;  // what an unpruned degree-threshold spawn sees
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    above_k += g.Degree(v) >= k;
+  }
+  ASSERT_GT(above_k, core);
+
+  const std::vector<VertexSet> serial = SerialMaximal(g, base.mining);
+  ASSERT_FALSE(serial.empty());
+  for (int machines : {1, 3}) {
+    EngineConfig config = base;
+    config.num_machines = machines;
+    auto result = ParallelRun(g, config);
+    EXPECT_EQ(result.kcore_vertices, core) << machines;
+    EXPECT_GE(result.kcore_seconds, 0.0);
+    EXPECT_GT(result.report.counters.tasks_spawned, 0u) << machines;
+    EXPECT_LE(result.report.counters.tasks_spawned, core) << machines;
+    EXPECT_EQ(ResultSetDigest(result.maximal), ResultSetDigest(serial))
+        << machines;
+    EXPECT_EQ(result.maximal, serial) << machines;
+  }
 }
 
 }  // namespace

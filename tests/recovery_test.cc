@@ -218,6 +218,36 @@ TEST(CheckpointLogTest, TornTailOnDiskIsTruncatedBeforeAppending) {
   }
 }
 
+// The fault-injection hold point: the first record is durable (in the
+// file without a Flush) before the hook decides whether to hold there.
+// A hook that declines is asked once and appends continue as usual.
+TEST(CheckpointLogTest, HoldHookMakesFirstRecordDurableAndAsksOnce) {
+  const std::string dir = TempCkptDir("hold");
+  CheckpointLog log;
+  CheckpointLog::LoadResult unused;
+  ASSERT_TRUE(log.Open(dir, 0, 1e6, &unused).ok());
+  int asked = 0;
+  size_t durable_when_asked = 0;
+  log.HoldAfterFirstRecord([&] {
+    ++asked;
+    durable_when_asked = ReadFile(dir + "/log").size();
+    return false;
+  });
+  const std::string first = CheckpointLog::EncodeResultRecord({1, 2, 3});
+  log.AppendResult({1, 2, 3});
+  EXPECT_EQ(asked, 1);
+  EXPECT_EQ(durable_when_asked, first.size());
+  log.AppendRootDone(1);
+  log.AppendResult({4, 5});
+  EXPECT_EQ(asked, 1);
+  // Later records wait for the interval (1e6 s) or an explicit Flush.
+  EXPECT_EQ(ReadFile(dir + "/log").size(), first.size());
+  log.Flush();
+  CheckpointLog::LoadResult replay;
+  CheckpointLog::ParseRecords(ReadFile(dir + "/log"), &replay);
+  EXPECT_EQ(replay.records, 3u);
+}
+
 // Crash-phase matrix: what a replacement recovers depends only on which
 // records became durable before the kill. Constructed logs pin the three
 // interesting phases; in every one correctness only needs the invariant

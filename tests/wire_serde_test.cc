@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/kcore.h"
 #include "gthinker/comm.h"
 #include "gthinker/engine_config.h"
 #include "gthinker/metrics.h"
@@ -448,6 +449,9 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   spec.config.graph_snapshot = "/tmp/graph.qcsr";
   spec.config.graph_page_size = 4096;
   spec.config.graph_memory_budget = 1 << 20;
+  std::vector<uint8_t> alive(100);
+  for (size_t v = 0; v < alive.size(); ++v) alive[v] = v % 3 == 1;
+  spec.kcore_mask = PackVertexMask(alive);
 
   ClusterJobSpec out;
   ASSERT_TRUE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
@@ -491,6 +495,33 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(out.config.graph_snapshot, "/tmp/graph.qcsr");
   EXPECT_EQ(out.config.graph_page_size, 4096);
   EXPECT_EQ(out.config.graph_memory_budget, 1 << 20);
+  EXPECT_EQ(out.kcore_mask, spec.kcore_mask);
+  std::vector<uint8_t> unpacked;
+  ASSERT_TRUE(UnpackVertexMask(out.kcore_mask, 100, &unpacked).ok());
+  EXPECT_EQ(unpacked, alive);
+}
+
+// A worker checks the shipped k-core mask against the snapshot it maps
+// (UnpackVertexMask with the snapshot's vertex count) and fails loudly on
+// any other length; a mask without a snapshot never decodes.
+TEST(JobSpecTest, RejectsKCoreMaskOfWrongLength) {
+  ClusterJobSpec spec;
+  spec.input = "graph.txt";
+  spec.config.graph_snapshot = "/tmp/graph.qcsr";
+  spec.kcore_mask = PackVertexMask(std::vector<uint8_t>(100, 1));
+  ClusterJobSpec out;
+  ASSERT_TRUE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
+  std::vector<uint8_t> alive;
+  EXPECT_TRUE(UnpackVertexMask(out.kcore_mask, 100, &alive).ok());
+  for (uint32_t n : {0u, 96u, 105u, 1000u}) {
+    EXPECT_EQ(UnpackVertexMask(out.kcore_mask, n, &alive).code(),
+              StatusCode::kInvalidArgument)
+        << n;
+  }
+
+  spec.config.graph_snapshot.clear();
+  EXPECT_EQ(DecodeJobSpec(EncodeJobSpec(spec), &out).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(JobSpecTest, RejectsAmbiguousGraphSource) {

@@ -34,7 +34,11 @@
 // ever materializes the full graph. --snapshot reuses a qcm_pack output,
 // --no-snapshot restores the legacy per-rank rebuild, and
 // --graph-memory-budget caps each rank's resident adjacency bytes
-// (evicted pages refault on demand -- out-of-core mining).
+// (evicted pages refault on demand -- out-of-core mining). Before any
+// worker is forked the launcher verifies the whole snapshot and peels it
+// to the global k-core (paper §4 T1); the mask ships in the job spec and
+// ranks spawn, stage and pull only core vertices. A --no-snapshot rank
+// peels the graph it rebuilt.
 //
 // --trace-out records one MERGED Chrome trace-event timeline of the whole
 // cluster (launcher recovery phases + every rank's spans + kStats counter
@@ -51,10 +55,11 @@
 // dir, path printed) so a crashed rank's story is always on disk for CI
 // to upload.
 //
-// Fault-injection hook (CI smoke): QCM_SMOKE_KILL_RANK=<r> makes the
-// launcher SIGKILL rank r's worker once it verifiably holds pending
-// work, exercising the detection -> kPeerDown -> relaunch -> checkpoint
-// replay -> kPeerUp recovery path end to end. The final digest must be
+// Fault-injection hook (CI smoke): QCM_SMOKE_KILL_RANK=<r> makes rank
+// r's first worker incarnation hold right after its first durable
+// checkpoint record, and the launcher SIGKILL it there, exercising the
+// detection -> kPeerDown -> relaunch -> checkpoint replay -> kPeerUp
+// recovery path end to end. The final digest must be
 // identical to an uninjected run.
 
 #include <libgen.h>
@@ -80,6 +85,7 @@
 #include "graph/csr_snapshot.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
+#include "graph/kcore.h"
 #include "gthinker/metrics.h"
 #include "net/coordinator.h"
 #include "net/job_spec.h"
@@ -445,6 +451,11 @@ int main(int argc, char** argv) {
   // --snapshot reuses a pre-packed file; --no-snapshot keeps the legacy
   // per-rank rebuild path alive as a fallback.
   EngineConfig& config = args.spec.config;
+  // Set by the snapshot path's k-core peel; a --no-snapshot run peels
+  // on every rank instead (see the worker logs).
+  uint64_t kcore_vertices = 0;
+  uint32_t num_vertices = 0;
+  double kcore_seconds = 0;
   if (!args.no_snapshot) {
     if (!args.snapshot.empty()) {
       config.graph_snapshot = args.snapshot;
@@ -503,18 +514,35 @@ int main(int argc, char** argv) {
       // `full` is dropped here -- the launcher, like the workers, does
       // not hold a resident graph during the run.
     }
-    // Early, launcher-side sanity check (metadata checksums only) so a
-    // bad --snapshot path fails before N workers are forked. The file's
-    // actual page size wins over the flag: a pre-packed --snapshot may
-    // have been built with a different --page-size, and the budget
-    // validation below must check against what the workers will map.
-    auto snap = CsrSnapshot::Open(config.graph_snapshot);
+    // Verify the whole snapshot once, here, before any worker is forked:
+    // the k-core peel below reads every adjacency page anyway, so the
+    // adjacency checksum costs little on top, and the ranks then only
+    // check metadata. The file's actual page size wins over the flag: a
+    // pre-packed --snapshot may have been built with a different
+    // --page-size, and the budget validation below must check against
+    // what the workers will map.
+    CsrSnapshot::OpenOptions verify;
+    verify.verify_adjacency = true;
+    auto snap = CsrSnapshot::Open(config.graph_snapshot, verify);
     if (!snap.ok()) {
       std::fprintf(stderr, "snapshot open failed: %s\n",
                    snap.status().ToString().c_str());
       return 1;
     }
     config.graph_page_size = (*snap)->page_size();
+    // (T1) global k-core pruning: ranks spawn and pull only core
+    // vertices. The mask ships in the job spec, n bits.
+    WallTimer kcore_timer;
+    auto alive = KCoreMask(**snap, config.mining.MinDegreeK());
+    if (!alive.ok()) {
+      std::fprintf(stderr, "k-core peel failed: %s\n",
+                   alive.status().ToString().c_str());
+      return 1;
+    }
+    kcore_seconds = kcore_timer.Seconds();
+    kcore_vertices = CountAlive(*alive);
+    num_vertices = (*snap)->NumVertices();
+    args.spec.kcore_mask = PackVertexMask(*alive);
   }
   // Surface contradictory settings with the validator's file:line message
   // instead of shipping them to every worker first. Runs after the pack
@@ -781,17 +809,26 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Fault injection for the CI smoke: SIGKILL the named rank once it
-  // verifiably holds pending work, so recovery happens mid-mining.
+  // Fault injection for the CI smoke: the named rank's worker inherits
+  // QCM_SMOKE_KILL_RANK and holds right after its first durable
+  // checkpoint record (with unfinished roots); SIGKILL it there, so
+  // recovery always happens mid-mining at the same progress point. A
+  // published pending > 0 proves the rank's engine runs, hence its
+  // epoch-0 log was truncated: a non-empty log is this run's record.
   std::thread killer;
   if (const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK")) {
     const int kill_rank = std::atoi(kill_rank_env);
     if (kill_rank >= 0 && kill_rank < args.workers) {
-      killer = std::thread([&, kill_rank] {
+      const std::string kill_log =
+          ckpt_dir + "/rank" + std::to_string(kill_rank) + "/log";
+      killer = std::thread([&, kill_rank, kill_log] {
         while (!run_done.load()) {
           WireRankStatus status;
+          struct stat log_stat;
           if (coordinator->SnapshotStatus(kill_rank, &status) &&
-              status.pending > 0) {
+              status.pending > 0 &&
+              ::stat(kill_log.c_str(), &log_stat) == 0 &&
+              log_stat.st_size > 0) {
             pid_t pid = -1;
             {
               std::lock_guard<std::mutex> lock(workers_mu);
@@ -966,6 +1003,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (args.stats) {
+    if (!args.no_snapshot) {
+      std::fprintf(stderr, "k-core: %llu of %u vertices (k=%u), %.3f s\n",
+                   static_cast<unsigned long long>(kcore_vertices),
+                   num_vertices, config.mining.MinDegreeK(), kcore_seconds);
+    }
     std::fprintf(
         stderr,
         "cluster: %d workers, %llu tasks, %llu stolen (%llu steal "

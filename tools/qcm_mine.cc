@@ -315,6 +315,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return true;
 }
 
+/// The --stats line of the global k-core peel (paper §4 T1); qcm_cluster
+/// prints the same format.
+void PrintKCore(uint64_t alive, uint32_t num_vertices, uint32_t k,
+                double seconds) {
+  std::fprintf(stderr, "k-core: %llu of %u vertices (k=%u), %.3f s\n",
+               static_cast<unsigned long long>(alive), num_vertices, k,
+               seconds);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -413,13 +422,14 @@ int main(int argc, char** argv) {
     }
     seconds = report->total_seconds;
     if (args.stats) {
+      PrintKCore(report->kcore_size, graph.NumVertices(),
+                 mining.MinDegreeK(), report->kcore_seconds);
       std::fprintf(stderr,
                    "serial: %lu roots, %lu search nodes, %lu candidates, "
-                   "k-core %lu, build %.3f s, mine %.3f s\n",
+                   "build %.3f s, mine %.3f s\n",
                    static_cast<unsigned long>(report->roots_processed),
                    static_cast<unsigned long>(report->stats.nodes_explored),
                    static_cast<unsigned long>(report->stats.emitted),
-                   static_cast<unsigned long>(report->kcore_size),
                    report->build_seconds, report->mine_seconds);
       std::fprintf(
           stderr,
@@ -480,6 +490,8 @@ int main(int argc, char** argv) {
     results = args.no_filter ? std::move(result->report.results)
                              : std::move(result->maximal);
     if (args.stats) {
+      PrintKCore(result->kcore_vertices, graph.NumVertices(),
+                 mining.MinDegreeK(), result->kcore_seconds);
       const EngineReport& r = result->report;
       std::fprintf(stderr,
                    "engine: %lu tasks (%lu big/%lu small), spill %lu "

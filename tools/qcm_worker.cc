@@ -2,9 +2,10 @@
 //
 // Spawned by qcm_cluster (one process per machine), it connects to the
 // coordinator, receives its rank and the job spec over the wire
-// handshake, rebuilds the input graph deterministically, keeps ONLY its
-// own hash partition (plus replicated degree metadata) in its
-// VertexTable, and runs the G-thinker engine over the TCP-backed
+// handshake, maps the launcher's snapshot (or rebuilds the input graph
+// deterministically), keeps ONLY its own hash partition (plus replicated
+// degree metadata) in its VertexTable, masked to the global k-core, and
+// runs the G-thinker engine over the TCP-backed
 // CommFabric: vertex pulls and stolen big-task batches are the same typed
 // messages as in simulated mode, but they cross process boundaries as
 // length-prefixed kData frames. Termination arrives from the
@@ -32,10 +33,12 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "graph/csr_snapshot.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
+#include "graph/kcore.h"
 #include "gthinker/engine.h"
 #include "mining/qc_app.h"
 #include "net/job_spec.h"
@@ -154,8 +157,14 @@ int main(int argc, char** argv) {
   // (metadata checksums verified, adjacency pages faulted lazily) --
   // startup never materializes the full graph in this process. Legacy
   // fallback: rebuild deterministically from the edge list / planted
-  // spec, then keep only this rank's partition.
+  // spec, then keep only this rank's partition. Either way the table is
+  // masked to the global k-core (paper §4 T1) before the engine spawns:
+  // the launcher peeled the snapshot and shipped the mask in the spec; a
+  // rebuilding rank peels the graph it just built.
+  const uint32_t k = spec.config.mining.MinDegreeK();
   std::unique_ptr<VertexTable> table;
+  std::vector<uint8_t> alive;
+  std::string kcore_origin;
   WallTimer graph_timer;
   if (!spec.config.graph_snapshot.empty()) {
     auto snap = CsrSnapshot::Open(spec.config.graph_snapshot);
@@ -163,6 +172,13 @@ int main(int argc, char** argv) {
       return Fail(transport.get(),
                   "snapshot open failed: " + snap.status().ToString());
     }
+    Status mask = UnpackVertexMask(spec.kcore_mask, (*snap)->NumVertices(),
+                                   &alive);
+    if (!mask.ok()) {
+      return Fail(transport.get(),
+                  "bad k-core mask in job spec: " + mask.ToString());
+    }
+    kcore_origin = "peeled by the launcher";
     table = std::make_unique<VertexTable>(
         std::move(snap).value(), transport->world_size(), rank,
         static_cast<uint64_t>(spec.config.graph_memory_budget));
@@ -205,6 +221,11 @@ int main(int argc, char** argv) {
       }
       full = std::move(generated).value();
     }
+    WallTimer kcore_timer;
+    alive = KCoreMask(full, k);
+    char seconds[32];
+    std::snprintf(seconds, sizeof(seconds), "%.3f s", kcore_timer.Seconds());
+    kcore_origin = seconds;
     table = std::make_unique<VertexTable>(full, transport->world_size(),
                                           rank);
     std::fprintf(stderr,
@@ -217,6 +238,12 @@ int main(int argc, char** argv) {
                      ? " (replacement; replaying checkpoint)"
                      : "");
   }
+  std::fprintf(stderr,
+               "qcm_worker rank %d: k-core: %llu of %u vertices (k=%u), "
+               "%s\n",
+               rank, static_cast<unsigned long long>(CountAlive(alive)),
+               table->NumVertices(), k, kcore_origin.c_str());
+  table->SetAliveMask(std::move(alive));
   std::fprintf(stderr, "qcm_worker rank %d: graph ready in %.3f s\n", rank,
                graph_timer.Seconds());
 
@@ -226,6 +253,14 @@ int main(int argc, char** argv) {
 
   QCApp app(spec.config);
   Engine engine(std::move(table), spec.config, &app, transport.get());
+  // Fault injection (QCM_SMOKE_KILL_RANK, inherited from the launcher):
+  // the named rank's first incarnation holds at a fixed progress point
+  // until the launcher SIGKILLs it, so the kill cannot miss a short job.
+  if (const char* kill_rank = std::getenv("QCM_SMOKE_KILL_RANK");
+      kill_rank != nullptr && std::atoi(kill_rank) == rank &&
+      transport->epoch() == 0) {
+    engine.HoldAfterFirstCheckpoint();
+  }
   auto report = engine.Run();
   if (!report.ok()) {
     return Fail(transport.get(),
