@@ -1,11 +1,12 @@
 // Kernel microbenchmarks (google-benchmark): the primitive operations the
 // mining stack is built from -- k-core peeling, 2-hop ego construction,
-// degree/bounds computation, iterative bounding, subgraph induction, task
-// serialization, and maximality filtering.
+// degree/bounds computation, iterative bounding, one search branch,
+// subgraph induction, task serialization, and maximality filtering.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -141,8 +142,10 @@ void BM_KernelTwoHopFilter(benchmark::State& state) {
   MiningContext ctx(&g, opts, &sink);
   std::vector<LocalId> candidates;
   for (LocalId u = 1; u < n; ++u) candidates.push_back(u);
+  std::vector<LocalId> kept;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TwoHopFilter(ctx, candidates, 0));
+    TwoHopFilter(ctx, candidates, 0, &kept);
+    benchmark::DoNotOptimize(kept.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(candidates.size()));
@@ -158,8 +161,11 @@ void BM_KernelCoverVertex(benchmark::State& state) {
   MiningContext ctx(&g, opts, &sink);
   std::vector<LocalId> s, ext;
   for (LocalId v = 0; v < n; ++v) (v < 4 ? s : ext).push_back(v);
+  ComputeDegreesFromScratch(ctx, s, ext);
+  std::vector<LocalId> cover;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FindBestCoverSet(ctx, s, ext));
+    FindBestCoverSet(ctx, s, ext, &cover);
+    benchmark::DoNotOptimize(cover.data());
   }
 }
 BENCHMARK(BM_KernelCoverVertex)
@@ -173,14 +179,13 @@ void BM_KernelUnionCheck(benchmark::State& state) {
   MiningOptions opts = KernelOptions(state.range(1) != 0, 0.5);
   CountingSink sink;
   MiningContext ctx(&g, opts, &sink);
-  std::vector<LocalId> a, b;
-  for (LocalId v = 0; v < n / 2; ++v) a.push_back(v);
-  for (LocalId v = n / 2; v < n / 2 + n / 4; ++v) b.push_back(v);
+  std::vector<LocalId> s;
+  for (LocalId v = 0; v < n / 2 + n / 4; ++v) s.push_back(v);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.IsQuasiCliqueUnion(a, b));
+    benchmark::DoNotOptimize(ctx.IsQuasiClique(s));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(a.size() + b.size()));
+                          static_cast<int64_t>(s.size()));
 }
 BENCHMARK(BM_KernelUnionCheck)
     ->ArgsProduct({{64, 256, 1024, 4096}, {0, 1}});
@@ -197,10 +202,38 @@ void BM_IterativeBounding(benchmark::State& state) {
     std::vector<LocalId> s = {0};
     std::vector<LocalId> ext;
     for (LocalId u = 1; u < g.n(); ++u) ext.push_back(u);
+    ComputeDegreesFromScratch(ctx, s, ext);
     benchmark::DoNotOptimize(IterativeBounding(ctx, s, ext));
   }
 }
 BENCHMARK(BM_IterativeBounding)->Arg(64)->Arg(256);
+
+// One search branch as RecursiveMine runs it on the root node <{0}, rest>:
+// two-hop filter, child degrees seeded from the node's frame, then
+// IterativeBounding on the child. Dense path on (range(1) == 1) and off.
+void BM_KernelBranch(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  LocalGraph g = DenseLocalGraph(n, 0.5, 29);
+  MiningOptions opts = KernelOptions(state.range(1) != 0, 0.6);
+  CountingSink sink;
+  MiningContext ctx(&g, opts, &sink);
+  const std::vector<LocalId> s = {0};
+  std::vector<LocalId> ext;
+  for (LocalId u = 1; u < n; ++u) ext.push_back(u);
+  MineFrame frame;
+  ComputeDegreesFromScratch(ctx, s, ext);
+  LoadNodeDegrees(ctx, s, ext, frame);
+  const std::vector<uint32_t> udeg = frame.udeg;
+  for (auto _ : state) {
+    std::copy(udeg.begin(), udeg.end(), frame.udeg.begin());
+    TwoHopFilter(ctx, std::span(ext).subspan(1), ext[0], &frame.ext_child);
+    SeedChildDegrees(ctx, s, ext, 0, frame);
+    frame.s_child.assign({s[0], ext[0]});
+    benchmark::DoNotOptimize(
+        IterativeBounding(ctx, frame.s_child, frame.ext_child));
+  }
+}
+BENCHMARK(BM_KernelBranch)->ArgsProduct({{64, 256, 1024}, {0, 1}});
 
 void BM_InduceSubgraph(benchmark::State& state) {
   LocalGraph g = DenseLocalGraph(512, 0.3, 13);

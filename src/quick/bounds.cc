@@ -10,23 +10,30 @@ namespace {
 /// of dS(u_i) with ext sorted by dS non-increasing (Figures 6 and 7).
 struct PrefixInput {
   int64_t sum_ds_s = 0;
-  std::vector<int64_t> prefix;  // prefix[t] = sum of t largest dS(u)
+  const int64_t* prefix = nullptr;  // prefix[t] = sum of t largest dS(u)
 };
 
+/// dS(u) <= |S| for u outside S, so a counting sort over [0, |S|] orders
+/// ext in O(|S| + |ext|), into the context's pooled buffers.
 PrefixInput BuildPrefixInput(MiningContext& ctx,
                              const std::vector<LocalId>& s,
                              const std::vector<LocalId>& ext) {
   PrefixInput in;
-  for (LocalId v : s) in.sum_ds_s += ctx.ds()[v];
-  std::vector<uint32_t> ds_ext;
-  ds_ext.reserve(ext.size());
-  for (LocalId u : ext) ds_ext.push_back(ctx.ds()[u]);
-  std::sort(ds_ext.begin(), ds_ext.end(), std::greater<>());
-  in.prefix.resize(ext.size() + 1);
-  in.prefix[0] = 0;
-  for (size_t i = 0; i < ds_ext.size(); ++i) {
-    in.prefix[i + 1] = in.prefix[i] + ds_ext[i];
+  const std::vector<uint32_t>& ds = ctx.ds();
+  for (LocalId v : s) in.sum_ds_s += ds[v];
+  std::vector<uint32_t>& count = ctx.bound_count();
+  count.assign(s.size() + 1, 0);
+  for (LocalId u : ext) ++count[ds[u]];
+  std::vector<int64_t>& prefix = ctx.bound_prefix();
+  prefix.resize(ext.size() + 1);
+  prefix[0] = 0;
+  size_t t = 0;
+  for (size_t d = s.size() + 1; d-- > 0;) {
+    for (uint32_t c = count[d]; c > 0; --c, ++t) {
+      prefix[t + 1] = prefix[t] + static_cast<int64_t>(d);
+    }
   }
+  in.prefix = prefix.data();
   return in;
 }
 
@@ -46,7 +53,7 @@ Bounds ComputeBounds(MiningContext& ctx, const std::vector<LocalId>& s,
   // Lemma 2 feasibility of adding exactly t vertices:
   //   sum_{v in S} dS(v) + sum_{i<=t} dS(u_i) >= |S| * ceil(gamma(|S|+t-1))
   auto feasible = [&](int64_t t) {
-    return in.sum_ds_s + in.prefix[static_cast<size_t>(t)] >=
+    return in.sum_ds_s + in.prefix[t] >=
            s_size * ctx.CeilGamma(s_size + t - 1);
   };
 
@@ -119,7 +126,7 @@ Bounds ComputeBounds(MiningContext& ctx, const std::vector<LocalId>& s,
   }
 
   // U_S < L_S: needs at least L_S additions but can take at most U_S.
-  // L_S >= 1 then (U_S >= 1 when computed... see below), so S itself is
+  // Then L_S > U_S >= 1, so t = 0 failed Eq. (7) or (8): S itself is
   // invalid too and everything is pruned.
   if (opts.use_upper_bound && opts.use_lower_bound &&
       out.upper < out.lower) {

@@ -11,45 +11,25 @@ namespace {
 /// same early skips/breaks (popcounted sizes equal the scalar list sizes at
 /// every decision point), so it selects the same winning cover SET -- only
 /// the element order of the result differs, which callers never observe.
-std::vector<LocalId> FindBestCoverSetDense(MiningContext& ctx,
-                                           const std::vector<LocalId>& s,
-                                           const std::vector<LocalId>& ext,
-                                           int64_t thresh) {
+void FindBestCoverSetDense(MiningContext& ctx, const std::vector<LocalId>& s,
+                           const std::vector<LocalId>& ext, int64_t thresh,
+                           std::vector<LocalId>* best) {
   const uint32_t words = ctx.words();
-  uint64_t* s_mask = ctx.WordBuf(1);
-  uint64_t* ext_mask = ctx.WordBuf(2);
-  uint64_t* cover = ctx.WordBuf(3);
-  std::fill(s_mask, s_mask + words, 0);
+  const std::vector<uint32_t>& ds = ctx.ds();
+  uint64_t* ext_mask = ctx.WordBuf(1);
+  uint64_t* cover = ctx.WordBuf(2);
   std::fill(ext_mask, ext_mask + words, 0);
-  for (LocalId v : s) s_mask[v >> 6] |= uint64_t{1} << (v & 63);
   for (LocalId w : ext) ext_mask[w >> 6] |= uint64_t{1} << (w & 63);
-  uint64_t touched = 2 * static_cast<uint64_t>(words);
+  uint64_t touched = words;
 
-  auto ds_of = [&](LocalId x) {
-    const uint64_t* row = ctx.Row(x);
-    int64_t d = 0;
-    for (uint32_t w = 0; w < words; ++w) {
-      d += std::popcount(row[w] & s_mask[w]);
-    }
-    touched += words;
-    return d;
-  };
-  std::vector<int64_t> ds_s(s.size());
-  for (size_t i = 0; i < s.size(); ++i) ds_s[i] = ds_of(s[i]);
-  std::vector<int64_t> ds_ext(ext.size());
-  for (size_t i = 0; i < ext.size(); ++i) ds_ext[i] = ds_of(ext[i]);
-
-  std::vector<LocalId> best;
-  for (size_t ui = 0; ui < ext.size(); ++ui) {
-    const LocalId u = ext[ui];
-    if (ds_ext[ui] < thresh) continue;
+  for (LocalId u : ext) {
+    if (ds[u] < thresh) continue;
     const uint64_t* row_u = ctx.Row(u);
 
     // All v in S not adjacent to u must satisfy dS(v) >= thresh.
     bool ok = true;
-    for (size_t i = 0; i < s.size(); ++i) {
-      const LocalId v = s[i];
-      if (!((row_u[v >> 6] >> (v & 63)) & 1) && ds_s[i] < thresh) {
+    for (LocalId v : s) {
+      if (!((row_u[v >> 6] >> (v & 63)) & 1) && ds[v] < thresh) {
         ok = false;
         break;
       }
@@ -63,7 +43,7 @@ std::vector<LocalId> FindBestCoverSetDense(MiningContext& ctx,
       csize += std::popcount(cover[w]);
     }
     touched += words;
-    if (csize <= static_cast<int64_t>(best.size())) continue;
+    if (csize <= static_cast<int64_t>(best->size())) continue;
 
     // Intersect with Gamma(v) of every non-neighbor v in S (Eq. 9).
     for (LocalId v : s) {
@@ -75,57 +55,39 @@ std::vector<LocalId> FindBestCoverSetDense(MiningContext& ctx,
         csize += std::popcount(cover[w]);
       }
       touched += words;
-      if (csize <= static_cast<int64_t>(best.size())) break;
+      if (csize <= static_cast<int64_t>(best->size())) break;
     }
-    if (csize > static_cast<int64_t>(best.size())) {
-      best.clear();
-      best.reserve(static_cast<size_t>(csize));
+    if (csize > static_cast<int64_t>(best->size())) {
+      best->clear();
       for (uint32_t w = 0; w < words; ++w) {
         uint64_t bits = cover[w];
         while (bits) {
           const int b = std::countr_zero(bits);
-          best.push_back((w << 6) + static_cast<LocalId>(b));
+          best->push_back((w << 6) + static_cast<LocalId>(b));
           bits &= bits - 1;
         }
       }
     }
   }
   ctx.stats.bitset_words_touched += touched;
-  return best;
 }
 
 }  // namespace
 
-std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
-                                      const std::vector<LocalId>& s,
-                                      const std::vector<LocalId>& ext) {
-  if (!ctx.opts().use_cover_vertex || ext.empty() || s.empty()) return {};
+void FindBestCoverSet(MiningContext& ctx, const std::vector<LocalId>& s,
+                      const std::vector<LocalId>& ext,
+                      std::vector<LocalId>* best) {
+  best->clear();
+  if (!ctx.opts().use_cover_vertex || ext.empty() || s.empty()) return;
   const LocalGraph& g = ctx.g();
   const int64_t thresh = ctx.CeilGamma(static_cast<int64_t>(s.size()));
-  if (ctx.dense()) return FindBestCoverSetDense(ctx, s, ext, thresh);
+  if (ctx.dense()) return FindBestCoverSetDense(ctx, s, ext, thresh, best);
 
-  // Precompute dS for all members of S and ext while the S-membership mark
-  // is pristine (mark array 1 is reused later for neighbor intersections).
-  const uint32_t s_tag = ctx.NewMark();
-  for (LocalId v : s) ctx.Mark(v, s_tag);
-  auto ds_of = [&](LocalId x) {
-    int64_t d = 0;
-    for (LocalId w : g.Neighbors(x)) {
-      if (ctx.Marked(w, s_tag)) ++d;
-    }
-    return d;
-  };
-  std::vector<int64_t> ds_s(s.size());
-  for (size_t i = 0; i < s.size(); ++i) ds_s[i] = ds_of(s[i]);
-  std::vector<int64_t> ds_ext(ext.size());
-  for (size_t i = 0; i < ext.size(); ++i) ds_ext[i] = ds_of(ext[i]);
-
-  std::vector<LocalId> best;
-  std::vector<LocalId> cover;
-  std::vector<LocalId> filtered;
-  for (size_t ui = 0; ui < ext.size(); ++ui) {
-    const LocalId u = ext[ui];
-    if (ds_ext[ui] < thresh) continue;
+  const std::vector<uint32_t>& ds = ctx.ds();
+  std::vector<LocalId>& cover = ctx.IdBuf(0);
+  std::vector<LocalId>& filtered = ctx.IdBuf(1);
+  for (LocalId u : ext) {
+    if (ds[u] < thresh) continue;
 
     // Mark Gamma(u).
     const uint32_t u_tag = ctx.NewMark2();
@@ -133,8 +95,8 @@ std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
 
     // All v in S not adjacent to u must satisfy dS(v) >= thresh.
     bool ok = true;
-    for (size_t i = 0; i < s.size(); ++i) {
-      if (!ctx.Marked2(s[i], u_tag) && ds_s[i] < thresh) {
+    for (LocalId v : s) {
+      if (!ctx.Marked2(v, u_tag) && ds[v] < thresh) {
         ok = false;
         break;
       }
@@ -148,7 +110,7 @@ std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
     for (LocalId w : ext) {
       if (w != u && ctx.Marked2(w, u_tag)) cover.push_back(w);
     }
-    if (cover.size() <= best.size()) continue;
+    if (cover.size() <= best->size()) continue;
 
     // Intersect with Gamma(v) of every non-neighbor v in S (Eq. 9).
     for (LocalId v : s) {
@@ -160,11 +122,10 @@ std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
         if (ctx.Marked(w, v_tag)) filtered.push_back(w);
       }
       cover.swap(filtered);
-      if (cover.size() <= best.size()) break;
+      if (cover.size() <= best->size()) break;
     }
-    if (cover.size() > best.size()) best = cover;
+    if (cover.size() > best->size()) best->assign(cover.begin(), cover.end());
   }
-  return best;
 }
 
 }  // namespace qcm

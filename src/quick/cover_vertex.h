@@ -12,17 +12,18 @@
 
 namespace qcm {
 
-/// Returns C_S(u*) for the u* in ext maximizing |C_S(u)|, or an empty
-/// vector when no vertex qualifies (or the rule is disabled).
+/// Writes into *best C_S(u*) for the u* in ext maximizing |C_S(u)|, or
+/// clears it when no vertex qualifies (or the rule is disabled).
 ///
 /// A vertex u qualifies only if dS(u) >= ceil(gamma |S|) and every
 /// v in S \ Gamma(u) has dS(v) >= ceil(gamma |S|) (paper §3.2 P7).
-/// Computes its own degree information; usable outside IterativeBounding.
+/// REQUIRES: ctx.ds() holds |N(x) ∩ s| for every member x of s and ext
+/// (RecursiveMine's node degrees, or ComputeDegreesFromScratch).
 /// Element order of the returned set is unspecified (the dense and sparse
 /// kernels order it differently); callers use only membership and size.
-std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
-                                      const std::vector<LocalId>& s,
-                                      const std::vector<LocalId>& ext);
+void FindBestCoverSet(MiningContext& ctx, const std::vector<LocalId>& s,
+                      const std::vector<LocalId>& ext,
+                      std::vector<LocalId>* best);
 
 }  // namespace qcm
 

@@ -8,35 +8,29 @@ namespace qcm {
 
 namespace {
 
-/// Clears the VState flags of every vertex that was ever in S or ext.
-/// S only gains vertices that came from ext, so the union of the *initial*
-/// S and ext covers everything ever flagged.
+/// Flags S and ext for the run and clears the flags on exit. Every flagged
+/// vertex is in the *current* s or ext at any time: a critical move carries
+/// a vertex from ext to s, and a Type-I prune clears its flag as it leaves
+/// ext. So clearing the final s and ext clears everything.
 class StateGuard {
  public:
   StateGuard(MiningContext& ctx, const std::vector<LocalId>& s,
              const std::vector<LocalId>& ext)
-      : ctx_(ctx) {
-    dirty_.reserve(s.size() + ext.size());
-    for (LocalId v : s) {
-      ctx_.SetVState(v, VState::kInS);
-      dirty_.push_back(v);
-    }
-    for (LocalId u : ext) {
-      ctx_.SetVState(u, VState::kInExt);
-      dirty_.push_back(u);
-    }
+      : ctx_(ctx), s_(s), ext_(ext) {
+    for (LocalId v : s) ctx_.SetVState(v, VState::kInS);
+    for (LocalId u : ext) ctx_.SetVState(u, VState::kInExt);
   }
   ~StateGuard() {
     // SetVState also clears the dense membership bitsets bit by bit, so
     // they end the task all-zero, ready for the next one.
-    for (LocalId v : dirty_) {
-      ctx_.SetVState(v, VState::kOut);
-    }
+    for (LocalId v : s_) ctx_.SetVState(v, VState::kOut);
+    for (LocalId u : ext_) ctx_.SetVState(u, VState::kOut);
   }
 
  private:
   MiningContext& ctx_;
-  std::vector<LocalId> dirty_;
+  const std::vector<LocalId>& s_;
+  const std::vector<LocalId>& ext_;
 };
 
 }  // namespace
@@ -51,12 +45,14 @@ BoundingResult IterativeBounding(MiningContext& ctx, std::vector<LocalId>& s,
   auto& ds = ctx.ds();
   auto& dext = ctx.dext();
 
+  bool fresh = true;  // the caller's degrees hold for the first iteration
   while (true) {
     if (ext.empty()) break;  // case C1
     ++ctx.stats.bounding_iterations;
 
     // Line 2: recompute dS / dext for all members.
-    ComputeDegrees(ctx, s, ext);
+    if (!fresh) ComputeDegrees(ctx, s, ext);
+    fresh = false;
 
     // Line 3: bounds; their computation may trigger Type-II pruning.
     Bounds bounds = ComputeBounds(ctx, s, ext);

@@ -98,60 +98,41 @@ void MiningContext::ArmTimeout(double tau_time_seconds, SubtaskSink sink) {
   subtask_sink_ = std::move(sink);
 }
 
-bool MiningContext::IsQuasiCliqueUnion(std::span<const LocalId> a,
-                                       std::span<const LocalId> b) {
-  const size_t size = a.size() + b.size();
-  if (size == 0) return false;
-  if (size == 1) return true;
-  const int64_t need = CeilGamma(static_cast<int64_t>(size) - 1);
+bool MiningContext::IsQuasiClique(std::span<const LocalId> s) {
+  if (s.empty()) return false;
+  if (s.size() == 1) return true;
+  const int64_t need = CeilGamma(static_cast<int64_t>(s.size()) - 1);
   if (dense_) {
-    // Word-parallel twin: membership mask of A ∪ B, then one masked
-    // popcount per member. Same a-then-b early-exit order as the scalar
-    // path, so counters and control flow stay identical.
+    // Word-parallel twin: membership mask of S, then one masked popcount
+    // per member, with the scalar path's early exit.
     uint64_t* member = WordBuf(0);
     std::fill(member, member + words_, 0);
-    for (LocalId v : a) member[v >> 6] |= uint64_t{1} << (v & 63);
-    for (LocalId v : b) member[v >> 6] |= uint64_t{1} << (v & 63);
+    for (LocalId v : s) member[v >> 6] |= uint64_t{1} << (v & 63);
     uint64_t touched = words_;
-    auto degree_ok = [&](LocalId v) {
+    bool ok = true;
+    for (LocalId v : s) {
       const uint64_t* row = Row(v);
       int64_t deg = 0;
       for (uint32_t w = 0; w < words_; ++w) {
         deg += std::popcount(row[w] & member[w]);
       }
       touched += words_;
-      return deg >= need;
-    };
-    for (LocalId v : a) {
-      if (!degree_ok(v)) {
-        stats.bitset_words_touched += touched;
-        return false;
-      }
-    }
-    for (LocalId v : b) {
-      if (!degree_ok(v)) {
-        stats.bitset_words_touched += touched;
-        return false;
+      if (deg < need) {
+        ok = false;
+        break;
       }
     }
     stats.bitset_words_touched += touched;
-    return true;
+    return ok;
   }
   const uint32_t tag = NewMark2();
-  for (LocalId v : a) Mark2(v, tag);
-  for (LocalId v : b) Mark2(v, tag);
-  auto degree_ok = [&](LocalId v) {
+  for (LocalId v : s) Mark2(v, tag);
+  for (LocalId v : s) {
     int64_t deg = 0;
     for (LocalId u : graph_->Neighbors(v)) {
       if (Marked2(u, tag)) ++deg;
     }
-    return deg >= need;
-  };
-  for (LocalId v : a) {
-    if (!degree_ok(v)) return false;
-  }
-  for (LocalId v : b) {
-    if (!degree_ok(v)) return false;
+    if (deg < need) return false;
   }
   // gamma >= 0.5 (enforced by MiningOptions::Validate) makes the minimum
   // induced degree >= (|S|-1)/2, which implies connectivity: two
@@ -218,6 +199,16 @@ void ComputeDegrees(MiningContext& ctx, const std::vector<LocalId>& s,
   };
   for (LocalId v : s) count(v);
   for (LocalId u : ext) count(u);
+}
+
+void ComputeDegreesFromScratch(MiningContext& ctx,
+                               const std::vector<LocalId>& s,
+                               const std::vector<LocalId>& ext) {
+  for (LocalId v : s) ctx.SetVState(v, VState::kInS);
+  for (LocalId u : ext) ctx.SetVState(u, VState::kInExt);
+  ComputeDegrees(ctx, s, ext);
+  for (LocalId v : s) ctx.SetVState(v, VState::kOut);
+  for (LocalId u : ext) ctx.SetVState(u, VState::kOut);
 }
 
 }  // namespace qcm

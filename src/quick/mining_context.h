@@ -16,11 +16,18 @@
 // incrementally via SetVState(). Every dense kernel is arithmetic-identical
 // to its scalar CSR twin, so emitted sets, pruning counters, and therefore
 // cluster digests are bit-identical in both modes.
+//
+// Per-node degree frames: RecursiveMine keeps one MineFrame per recursion
+// depth in the scratch. A frame holds the node's dS and d(S ∪ ext) per
+// member, updated by one adjacency test per member as branching vertices
+// leave, and the child <S', ext'> each branch builds; the child's degrees
+// are seeded from the frame instead of being recounted (recursive_mine.h).
 
 #ifndef QCM_QUICK_MINING_CONTEXT_H_
 #define QCM_QUICK_MINING_CONTEXT_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -58,9 +65,11 @@ struct MiningStats {
   uint64_t size_prunes = 0;          // Alg. 2 line 6
   uint64_t subtasks_spawned = 0;     // time-delayed decomposition wraps
 
-  uint64_t dense_tasks = 0;           // tasks mined with bitmap rows
-  uint64_t sparse_tasks = 0;          // tasks mined over CSR scans only
-  uint64_t bitset_words_touched = 0;  // uint64 words the dense kernels read
+  uint64_t dense_tasks = 0;   // tasks mined with bitmap rows
+  uint64_t sparse_tasks = 0;  // tasks mined over CSR scans only
+  // uint64 words the dense kernels read, including the per-node degree
+  // frame's row bit tests and its dext' corrections for each branch.
+  uint64_t bitset_words_touched = 0;
 
   void Add(const MiningStats& other);
 };
@@ -71,11 +80,29 @@ struct MiningStats {
 using SubtaskSink = std::function<void(const std::vector<LocalId>& s,
                                        const std::vector<LocalId>& ext)>;
 
+/// One search node of RecursiveMine (one per recursion depth). sdeg/udeg
+/// are indexed by position in S ∪ ext: S's members first, then ext's in
+/// loop order. While branch i runs, for every live member x (S ∪ ext[i..)):
+///   sdeg[x] = |N(x) ∩ S|,  udeg[x] = |N(x) ∩ (S ∪ ext[i..))|.
+/// s_child/ext_child hold the <S', ext'> of the branch in flight.
+struct MineFrame {
+  std::vector<uint32_t> sdeg, udeg;
+  std::vector<LocalId> cover;  // C_S(u*) of this node
+  std::vector<LocalId> s_child, ext_child;
+
+  uint64_t MemoryBytes() const {
+    return (sdeg.capacity() + udeg.capacity()) * sizeof(uint32_t) +
+           (cover.capacity() + s_child.capacity() + ext_child.capacity()) *
+               sizeof(LocalId);
+  }
+};
+
 /// Reusable per-thread scratch backing MiningContext: per-vertex state and
-/// degree arrays, epoch-marked tag arrays, and the word buffers of the
-/// dense bitset kernels. Arrays grow monotonically to the largest task seen
-/// and epochs persist across tasks, so steady-state reuse allocates
-/// nothing. Owned by one mining thread (one comper); never shared.
+/// degree arrays, epoch-marked tag arrays, the word buffers of the dense
+/// bitset kernels, the per-depth search frames, and the id/count buffers of
+/// the bounds, cover and branch kernels. Arrays grow monotonically to the
+/// largest task seen and epochs persist across tasks, so steady-state reuse
+/// allocates nothing. Owned by one mining thread (one comper); never shared.
 class MiningScratch {
  public:
   MiningScratch() = default;
@@ -84,14 +111,22 @@ class MiningScratch {
   /// arrays are assign()ed down for small tasks but their allocations
   /// persist (that persistence is the point of pooling).
   uint64_t MemoryBytes() const {
-    return state_.capacity() * sizeof(uint8_t) +
-           (ds_.capacity() + dext_.capacity() + mark1_.capacity() +
-            mark2_.capacity()) *
-               sizeof(uint32_t) +
-           (in_s_mask_.capacity() + in_ext_mask_.capacity() +
-            word_buf_.capacity() + rows_.capacity()) *
-               sizeof(uint64_t);
+    uint64_t bytes =
+        state_.capacity() * sizeof(uint8_t) +
+        (ds_.capacity() + dext_.capacity() + mark1_.capacity() +
+         mark2_.capacity() + bound_count_.capacity()) *
+            sizeof(uint32_t) +
+        bound_prefix_.capacity() * sizeof(int64_t) +
+        (id_buf_[0].capacity() + id_buf_[1].capacity()) * sizeof(LocalId) +
+        (in_s_mask_.capacity() + in_ext_mask_.capacity() +
+         word_buf_.capacity() + rows_.capacity()) *
+            sizeof(uint64_t);
+    for (const MineFrame& f : frames_) bytes += f.MemoryBytes();
+    return bytes;
   }
+
+  /// Search frames allocated so far: the deepest recursion seen plus one.
+  size_t num_frames() const { return frames_.size(); }
 
  private:
   friend class MiningContext;
@@ -100,6 +135,12 @@ class MiningScratch {
   std::vector<uint32_t> ds_, dext_;
   std::vector<uint32_t> mark1_, mark2_;
   uint32_t epoch1_ = 0, epoch2_ = 0;
+
+  // A deque keeps frame references stable while deeper levels append.
+  std::deque<MineFrame> frames_;
+  std::vector<uint32_t> bound_count_;  // counting sort of dS over ext
+  std::vector<int64_t> bound_prefix_;  // prefix sums of the sorted dS
+  std::vector<LocalId> id_buf_[2];     // see MiningContext::IdBuf
 
   // ---- Dense-kernel buffers (sized in words = ceil(n/64)) ----
   std::vector<uint64_t> in_s_mask_;    // bit v set iff state[v] == kInS
@@ -146,14 +187,9 @@ class MiningContext {
   /// Emits without checking (caller already verified validity).
   void EmitVerified(std::span<const LocalId> s);
 
-  /// Validity of G(A ∪ B) by Definition 1 (degree condition only; gamma >=
-  /// 0.5 implies connectivity). A and B must be disjoint.
-  bool IsQuasiCliqueUnion(std::span<const LocalId> a,
-                          std::span<const LocalId> b);
-
-  bool IsQuasiClique(std::span<const LocalId> s) {
-    return IsQuasiCliqueUnion(s, {});
-  }
+  /// Validity of G(S) by Definition 1 (degree condition only; gamma >= 0.5
+  /// implies connectivity). S must hold distinct ids.
+  bool IsQuasiClique(std::span<const LocalId> s);
 
   // ---- scratch shared by the pruning machinery ----
   // state_/ds_/dext_ are owned by IterativeBounding while it runs; the
@@ -163,6 +199,23 @@ class MiningContext {
   std::vector<uint8_t>& state() { return scratch_->state_; }
   std::vector<uint32_t>& ds() { return scratch_->ds_; }
   std::vector<uint32_t>& dext() { return scratch_->dext_; }
+
+  /// The search frame of recursion depth `depth`, appended on first use.
+  /// REQUIRES: frames 0..depth-1 exist (depths are visited in order).
+  MineFrame& Frame(size_t depth) {
+    if (depth == scratch_->frames_.size()) scratch_->frames_.emplace_back();
+    return scratch_->frames_[depth];
+  }
+
+  /// Counting-sort buckets and prefix sums of ComputeBounds.
+  std::vector<uint32_t>& bound_count() { return scratch_->bound_count_; }
+  std::vector<int64_t>& bound_prefix() { return scratch_->bound_prefix_; }
+
+  /// Pooled id lists. Slot ownership: 0 = cover-vertex working cover /
+  /// the ext vertices a branch's two-hop filter dropped / the cover tail
+  /// while it moves (never live simultaneously), 1 = cover-vertex
+  /// intersection output.
+  std::vector<LocalId>& IdBuf(int slot) { return scratch_->id_buf_[slot]; }
 
   /// The one sanctioned writer of state(): updates the byte AND, on the
   /// dense path, the incremental S/ext membership bitsets the word-parallel
@@ -222,10 +275,10 @@ class MiningContext {
   const uint64_t* in_ext_mask() const { return scratch_->in_ext_mask_.data(); }
 
   /// Distinct task-local word buffers (words() words each) for the dense
-  /// kernels. Slot ownership: 0 = two-hop reach mask / union member mask
-  /// (never live simultaneously), 1-3 = cover-vertex (S mask, ext/working
-  /// cover, best cover). Only valid when dense().
-  static constexpr int kNumWordBufs = 4;
+  /// kernels. Slot ownership: 0 = two-hop reach mask / validity member mask /
+  /// a branch's child member mask (never live simultaneously), 1-2 =
+  /// cover-vertex (ext mask, working cover). Only valid when dense().
+  static constexpr int kNumWordBufs = 3;
   uint64_t* WordBuf(int slot) {
     return scratch_->word_buf_.data() + static_cast<size_t>(slot) * words_;
   }
@@ -256,6 +309,12 @@ class MiningContext {
 /// Dense path: two masked popcounts per member over the row bitsets.
 void ComputeDegrees(MiningContext& ctx, const std::vector<LocalId>& s,
                     const std::vector<LocalId>& ext);
+
+/// ComputeDegrees for callers that hold no VState: flags S and ext, counts,
+/// and clears the flags again. REQUIRES: state() all kOut.
+void ComputeDegreesFromScratch(MiningContext& ctx,
+                               const std::vector<LocalId>& s,
+                               const std::vector<LocalId>& ext);
 
 }  // namespace qcm
 

@@ -1,16 +1,17 @@
 #include "quick/recursive_mine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "quick/cover_vertex.h"
 #include "quick/iterative_bounding.h"
 
 namespace qcm {
 
-std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
-                                  std::span<const LocalId> candidates,
-                                  LocalId v) {
+void TwoHopFilter(MiningContext& ctx, std::span<const LocalId> candidates,
+                  LocalId v, std::vector<LocalId>* kept) {
   const LocalGraph& g = ctx.g();
+  kept->clear();
   if (ctx.dense()) {
     // Word-parallel twin: reach = {v} ∪ Gamma(v) as one bitset; u is
     // within 2 hops iff its own bit is in reach or its row intersects it.
@@ -20,8 +21,6 @@ std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
     std::copy(row_v, row_v + words, reach);
     reach[v >> 6] |= uint64_t{1} << (v & 63);
     uint64_t touched = words;
-    std::vector<LocalId> kept;
-    kept.reserve(candidates.size());
     for (LocalId u : candidates) {
       bool within = (reach[u >> 6] >> (u & 63)) & 1;
       if (!within) {
@@ -35,13 +34,13 @@ std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
         }
       }
       if (within) {
-        kept.push_back(u);
+        kept->push_back(u);
       } else {
         ++ctx.stats.diameter_filtered;
       }
     }
     ctx.stats.bitset_words_touched += touched;
-    return kept;
+    return;
   }
   // Mark {v} ∪ Gamma(v); u is within 2 hops iff u or one of its neighbors
   // is marked. Intermediate hops may pass through any vertex of the task
@@ -50,8 +49,6 @@ std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
   ctx.Mark(v, tag);
   for (LocalId w : g.Neighbors(v)) ctx.Mark(w, tag);
 
-  std::vector<LocalId> kept;
-  kept.reserve(candidates.size());
   for (LocalId u : candidates) {
     bool within = ctx.Marked(u, tag);
     if (!within) {
@@ -63,12 +60,140 @@ std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
       }
     }
     if (within) {
-      kept.push_back(u);
+      kept->push_back(u);
     } else {
       ++ctx.stats.diameter_filtered;
     }
   }
-  return kept;
+}
+
+void LoadNodeDegrees(MiningContext& ctx, const std::vector<LocalId>& s,
+                     const std::vector<LocalId>& ext, MineFrame& frame) {
+  const std::vector<uint32_t>& ds = ctx.ds();
+  const std::vector<uint32_t>& dext = ctx.dext();
+  frame.sdeg.resize(s.size() + ext.size());
+  frame.udeg.resize(s.size() + ext.size());
+  size_t p = 0;
+  auto load = [&](LocalId x) {
+    frame.sdeg[p] = ds[x];
+    frame.udeg[p] = ds[x] + dext[x];
+    ++p;
+  };
+  for (LocalId x : s) load(x);
+  for (LocalId x : ext) load(x);
+}
+
+namespace {
+
+/// Takes the dropped vertices F out of the seeded dext' of every child
+/// member x in S ∪ {v} ∪ ext' (dext'(x) -= |N(x) ∩ F|). Costs one row (or
+/// neighbor list) per f in F: what the two-hop filter already spent to
+/// reject f, so seeding never costs more than the filter in front of it.
+void RemoveDroppedFromDext(MiningContext& ctx, const std::vector<LocalId>& s,
+                           LocalId v, const std::vector<LocalId>& ext_child,
+                           const std::vector<LocalId>& dropped) {
+  std::vector<uint32_t>& dext = ctx.dext();
+  if (ctx.dense()) {
+    const uint32_t words = ctx.words();
+    uint64_t* member = ctx.WordBuf(0);
+    std::fill(member, member + words, 0);
+    auto set_bit = [&](LocalId x) {
+      member[x >> 6] |= uint64_t{1} << (x & 63);
+    };
+    for (LocalId x : s) set_bit(x);
+    set_bit(v);
+    for (LocalId x : ext_child) set_bit(x);
+    for (LocalId f : dropped) {
+      const uint64_t* row_f = ctx.Row(f);
+      for (uint32_t w = 0; w < words; ++w) {
+        uint64_t bits = row_f[w] & member[w];
+        while (bits) {
+          --dext[(w << 6) + static_cast<LocalId>(std::countr_zero(bits))];
+          bits &= bits - 1;
+        }
+      }
+    }
+    ctx.stats.bitset_words_touched += uint64_t{words} * (1 + dropped.size());
+    return;
+  }
+  const uint32_t tag = ctx.NewMark();
+  for (LocalId x : s) ctx.Mark(x, tag);
+  ctx.Mark(v, tag);
+  for (LocalId x : ext_child) ctx.Mark(x, tag);
+  for (LocalId f : dropped) {
+    for (LocalId w : ctx.g().Neighbors(f)) {
+      if (ctx.Marked(w, tag)) --dext[w];
+    }
+  }
+}
+
+/// SeedChildDegrees over an adjacency test adj(x) = A[x][v].
+template <typename Adj>
+void SeedChildDegreesWith(MiningContext& ctx, const std::vector<LocalId>& s,
+                          const std::vector<LocalId>& ext, size_t i,
+                          MineFrame& frame, Adj adj) {
+  const size_t ns = s.size();
+  const std::vector<LocalId>& ext_child = frame.ext_child;
+  const bool seed = !ext_child.empty();
+  std::vector<uint32_t>& sdeg = frame.sdeg;
+  std::vector<uint32_t>& udeg = frame.udeg;
+  std::vector<uint32_t>& ds = ctx.ds();
+  std::vector<uint32_t>& dext = ctx.dext();
+
+  // v leaves S ∪ ext[i+1..) for every live member; after the retire,
+  // udeg[x] - sdeg[x] = |N(x) ∩ ext[i+1..)|, which ext' and F partition.
+  for (size_t p = 0; p < ns; ++p) {
+    const uint32_t a = adj(s[p]);
+    udeg[p] -= a;
+    if (seed) {
+      ds[s[p]] = sdeg[p] + a;
+      dext[s[p]] = udeg[p] - sdeg[p];
+    }
+  }
+  std::vector<LocalId>& dropped = ctx.IdBuf(0);
+  dropped.clear();
+  size_t k = 0;  // ext_child is an order-preserving subsequence of ext
+  for (size_t j = i + 1; j < ext.size(); ++j) {
+    const size_t p = ns + j;
+    const LocalId x = ext[j];
+    const uint32_t a = adj(x);
+    udeg[p] -= a;
+    if (!seed) continue;
+    if (k < ext_child.size() && ext_child[k] == x) {
+      ds[x] = sdeg[p] + a;
+      dext[x] = udeg[p] - sdeg[p];
+      ++k;
+    } else {
+      dropped.push_back(x);
+    }
+  }
+  if (!seed) return;
+  const LocalId v = ext[i];
+  ds[v] = sdeg[ns + i];
+  dext[v] = udeg[ns + i] - sdeg[ns + i];
+  if (!dropped.empty()) RemoveDroppedFromDext(ctx, s, v, ext_child, dropped);
+}
+
+}  // namespace
+
+void SeedChildDegrees(MiningContext& ctx, const std::vector<LocalId>& s,
+                      const std::vector<LocalId>& ext, size_t i,
+                      MineFrame& frame) {
+  const LocalId v = ext[i];
+  if (ctx.dense()) {
+    const uint64_t* row_v = ctx.Row(v);
+    SeedChildDegreesWith(ctx, s, ext, i, frame, [row_v](LocalId x) {
+      return static_cast<uint32_t>((row_v[x >> 6] >> (x & 63)) & 1);
+    });
+    // One row word per live member other than v.
+    ctx.stats.bitset_words_touched += s.size() + ext.size() - i - 1;
+    return;
+  }
+  const uint32_t tag = ctx.NewMark();
+  for (LocalId w : ctx.g().Neighbors(v)) ctx.Mark(w, tag);
+  SeedChildDegreesWith(ctx, s, ext, i, frame, [&ctx, tag](LocalId x) {
+    return static_cast<uint32_t>(ctx.Marked(x, tag));
+  });
 }
 
 namespace {
@@ -81,25 +206,50 @@ size_t MoveCoverToTail(MiningContext& ctx, std::vector<LocalId>& ext,
   if (cover.empty()) return ext.size();
   const uint32_t tag = ctx.NewMark2();
   for (LocalId w : cover) ctx.Mark2(w, tag);
-  std::stable_partition(ext.begin(), ext.end(), [&](LocalId u) {
-    return !ctx.Marked2(u, tag);
-  });
-  return ext.size() - cover.size();
+  std::vector<LocalId>& tail = ctx.IdBuf(0);
+  tail.clear();
+  size_t kept = 0;
+  for (LocalId u : ext) {
+    if (ctx.Marked2(u, tag)) {
+      tail.push_back(u);
+    } else {
+      ext[kept++] = u;
+    }
+  }
+  std::copy(tail.begin(), tail.end(), ext.begin() + kept);
+  return kept;
 }
 
-}  // namespace
+/// Alg. 2 lines 8-10 on the frame: is G(S ∪ ext[i..)) a quasi-clique?
+/// udeg of a live member is exactly its degree inside that union.
+bool LookaheadHolds(MiningContext& ctx, const MineFrame& frame, size_t ns,
+                    size_t i) {
+  const size_t size = frame.udeg.size() - i;  // |S| + remaining >= 2
+  const int64_t need = ctx.CeilGamma(static_cast<int64_t>(size) - 1);
+  for (size_t p = 0; p < ns; ++p) {
+    if (frame.udeg[p] < need) return false;
+  }
+  for (size_t p = ns + i; p < frame.udeg.size(); ++p) {
+    if (frame.udeg[p] < need) return false;
+  }
+  return true;
+}
 
-bool RecursiveMine(MiningContext& ctx, std::vector<LocalId> s,
-                   std::vector<LocalId> ext) {
+/// One search node <s, ext> at recursion depth `depth`. REQUIRES: ds()/
+/// dext() fresh for every member of s and ext.
+bool MineNode(MiningContext& ctx, size_t depth, const std::vector<LocalId>& s,
+              std::vector<LocalId>& ext) {
   ++ctx.stats.nodes_explored;
   bool found = false;
   const MiningOptions& opts = ctx.opts();
+  MineFrame& frame = ctx.Frame(depth);
 
   // Lines 2-4: cover-vertex pruning (P7). Vertices covered by the best
   // cover vertex are never used as the branching vertex v.
-  const std::vector<LocalId> cover = FindBestCoverSet(ctx, s, ext);
-  const size_t loop_end = MoveCoverToTail(ctx, ext, cover);
-  ctx.stats.cover_skipped += cover.size();
+  FindBestCoverSet(ctx, s, ext, &frame.cover);
+  const size_t loop_end = MoveCoverToTail(ctx, ext, frame.cover);
+  ctx.stats.cover_skipped += frame.cover.size();
+  LoadNodeDegrees(ctx, s, ext, frame);
 
   for (size_t i = 0; i < loop_end; ++i) {
     // ext(S) at this point is the suffix ext[i..); earlier branching
@@ -115,9 +265,9 @@ bool RecursiveMine(MiningContext& ctx, std::vector<LocalId> s,
 
     // Lines 8-10: lookahead -- if S ∪ ext(S) is already a quasi-clique it
     // is the unique maximal result of this subtree.
-    if (opts.use_lookahead &&
-        ctx.IsQuasiCliqueUnion(s, std::span(ext).subspan(i))) {
-      std::vector<LocalId> whole(s);
+    if (opts.use_lookahead && LookaheadHolds(ctx, frame, s.size(), i)) {
+      std::vector<LocalId>& whole = frame.s_child;
+      whole.assign(s.begin(), s.end());
       whole.insert(whole.end(), ext.begin() + static_cast<int64_t>(i),
                    ext.end());
       ctx.EmitVerified(whole);
@@ -127,12 +277,14 @@ bool RecursiveMine(MiningContext& ctx, std::vector<LocalId> s,
 
     // Line 11: branch on v.
     const LocalId v = ext[i];
-    std::vector<LocalId> s_child(s);
+    std::vector<LocalId>& s_child = frame.s_child;
+    std::vector<LocalId>& ext_child = frame.ext_child;
+    s_child.assign(s.begin(), s.end());
     s_child.push_back(v);
 
     // Line 12: ext(S') = ext(S) ∩ B(v) (P1).
-    std::vector<LocalId> ext_child =
-        TwoHopFilter(ctx, std::span(ext).subspan(i + 1), v);
+    TwoHopFilter(ctx, std::span(ext).subspan(i + 1), v, &ext_child);
+    SeedChildDegrees(ctx, s, ext, i, frame);
 
     if (ext_child.empty()) {
       // Lines 13-16. The original Quick misses this check (§4 T6 remark).
@@ -142,8 +294,8 @@ bool RecursiveMine(MiningContext& ctx, std::vector<LocalId> s,
       continue;
     }
 
-    // Line 18: Algorithm 1. May shrink ext_child, may expand s_child
-    // (critical vertices), may emit candidates.
+    // Line 18: Algorithm 1, on the seeded degrees. May shrink ext_child,
+    // may expand s_child (critical vertices), may emit candidates.
     BoundingResult bounding = IterativeBounding(ctx, s_child, ext_child);
     found |= bounding.emitted;
     if (bounding.pruned) continue;
@@ -162,17 +314,25 @@ bool RecursiveMine(MiningContext& ctx, std::vector<LocalId> s,
       continue;
     }
 
-    // Line 21: recurse. s_child is kept alive: if the subtree finds
-    // nothing, lines 23-25 examine G(S') -- and S' here is the
-    // critical-vertex-expanded set, not merely S ∪ {v}.
-    const bool child_found =
-        RecursiveMine(ctx, s_child, std::move(ext_child));
+    // Line 21: recurse; bounding left ds/dext fresh for <S', ext(S')>.
+    // s_child is kept: if the subtree finds nothing, lines 23-25 examine
+    // G(S') -- and S' here is the critical-vertex-expanded set, not merely
+    // S ∪ {v}.
+    const bool child_found = MineNode(ctx, depth + 1, s_child, ext_child);
     found |= child_found;
     if (!child_found) {
       found |= ctx.CheckAndEmit(s_child);
     }
   }
   return found;
+}
+
+}  // namespace
+
+bool RecursiveMine(MiningContext& ctx, std::vector<LocalId> s,
+                   std::vector<LocalId> ext) {
+  ComputeDegreesFromScratch(ctx, s, ext);
+  return MineNode(ctx, 0, s, ext);
 }
 
 }  // namespace qcm

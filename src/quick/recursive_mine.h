@@ -22,15 +22,42 @@ namespace qcm {
 /// Candidates are emitted through ctx's sink; non-maximal candidates are
 /// possible and removed by postprocessing (maximality_filter.h).
 ///
-/// REQUIRES: s non-empty and disjoint from ext; all ids local to ctx.g().
+/// Counts the root's degrees once; every deeper search node takes its
+/// degrees from the IterativeBounding run that admitted it, keeps them in
+/// its MineFrame, and seeds each child's from there (SeedChildDegrees).
+/// Not re-entrant on one context: the search frames start at depth 0.
+///
+/// REQUIRES: s non-empty and disjoint from ext; all ids local to ctx.g();
+/// state() all kOut.
 bool RecursiveMine(MiningContext& ctx, std::vector<LocalId> s,
                    std::vector<LocalId> ext);
 
-/// Diameter-based candidate filter (P1 / Alg. 2 line 12): keeps the members
-/// of `candidates` within 2 hops of v in ctx.g(), preserving order.
-std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
-                                  std::span<const LocalId> candidates,
-                                  LocalId v);
+/// Diameter-based candidate filter (P1 / Alg. 2 line 12): writes into
+/// *kept the members of `candidates` within 2 hops of v in ctx.g(),
+/// preserving order.
+void TwoHopFilter(MiningContext& ctx, std::span<const LocalId> candidates,
+                  LocalId v, std::vector<LocalId>* kept);
+
+// ---- The per-node degree frame (exposed for the kernel parity tests) ----
+
+/// Fills frame.sdeg / frame.udeg for the node <s, ext> from ctx.ds() /
+/// ctx.dext(), in position order (s, then ext). REQUIRES: ds()/dext()
+/// fresh for every member of s and ext.
+void LoadNodeDegrees(MiningContext& ctx, const std::vector<LocalId>& s,
+                     const std::vector<LocalId>& ext, MineFrame& frame);
+
+/// Branch i of the node <s, ext> (v = ext[i]) with frame.ext_child =
+/// TwoHopFilter(ext[i+1..), v): retires v from frame.udeg and, when
+/// ext_child is non-empty, writes into ctx.ds() / ctx.dext() the degrees of
+/// S' = s ∪ {v} and ext' = ext_child for every member of S' ∪ ext':
+///   ds'(x)   = sdeg[x] + A[x][v]
+///   dext'(x) = udeg[x] - A[x][v] - sdeg[x] - |N(x) ∩ F|,
+/// F = ext[i+1..) \ ext' (the vertices the two-hop filter dropped).
+/// REQUIRES: the frame was loaded for <s, ext> and branches 0..i-1 were
+/// seeded in order, so udeg counts S ∪ ext[i..).
+void SeedChildDegrees(MiningContext& ctx, const std::vector<LocalId>& s,
+                      const std::vector<LocalId>& ext, size_t i,
+                      MineFrame& frame);
 
 }  // namespace qcm
 

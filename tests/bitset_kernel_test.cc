@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/ego_builder.h"
@@ -194,8 +197,9 @@ TEST(KernelParityTest, TwoHopFilter) {
     KernelPair kp(src, 0.85);
     std::vector<LocalId> candidates;
     for (LocalId u = 1; u < kp.graph.n(); ++u) candidates.push_back(u);
-    auto kept_sparse = TwoHopFilter(*kp.sparse, candidates, 0);
-    auto kept_dense = TwoHopFilter(*kp.dense, candidates, 0);
+    std::vector<LocalId> kept_sparse, kept_dense;
+    TwoHopFilter(*kp.sparse, candidates, 0, &kept_sparse);
+    TwoHopFilter(*kp.dense, candidates, 0, &kept_dense);
     // Both kernels preserve candidate order, so exact equality.
     EXPECT_EQ(kept_sparse, kept_dense) << "seed=" << seed;
     EXPECT_LT(kept_sparse.size(), candidates.size()) << "filter was a no-op";
@@ -215,8 +219,12 @@ TEST(KernelParityTest, CoverVertexSet) {
       else ext.push_back(v);
     }
     if (s.empty()) s.push_back(ext.back()), ext.pop_back();
-    auto cover_sparse = FindBestCoverSet(*kp.sparse, s, ext);
-    auto cover_dense = FindBestCoverSet(*kp.dense, s, ext);
+    std::vector<LocalId> cover_sparse, cover_dense;
+    for (MiningContext* ctx : {kp.sparse.get(), kp.dense.get()}) {
+      ComputeDegreesFromScratch(*ctx, s, ext);
+    }
+    FindBestCoverSet(*kp.sparse, s, ext, &cover_sparse);
+    FindBestCoverSet(*kp.dense, s, ext, &cover_dense);
     // The winning cover SET is mode-independent; element order is not.
     std::sort(cover_sparse.begin(), cover_sparse.end());
     std::sort(cover_dense.begin(), cover_dense.end());
@@ -224,21 +232,105 @@ TEST(KernelParityTest, CoverVertexSet) {
   }
 }
 
-TEST(KernelParityTest, IsQuasiCliqueUnion) {
+// The recursive miner never recounts a child's degrees: it seeds them
+// from the parent's frame (sdeg/udeg, one adjacency test per member, and
+// a correction for the vertices F the two-hop filter dropped). Replays a
+// node's branches 0..i the way RecursiveMine does and checks the seeded
+// ds/dext of S' ∪ ext' and the retired udeg against a recount.
+TEST(KernelParityTest, SeededChildDegreesMatchRecompute) {
+  Rng rng(505);
+  int small_f = 0, large_f = 0;  // 0 < |F| <= |S' ∪ ext'|, and |F| larger
+  for (int trial = 0; trial < 120; ++trial) {
+    const uint32_t n = 20 + static_cast<uint32_t>(rng.Uniform(130));
+    // Odd trials: average degree 2-4, so the two-hop filter drops most of
+    // ext. Even trials: up to ~n/2, so it keeps nearly everything.
+    const uint64_t max_m = uint64_t{n} * (n - 1) / 2;
+    const uint64_t m =
+        trial % 2 == 1
+            ? n + rng.Uniform(n)
+            : std::min<uint64_t>(max_m, n * (1 + rng.Uniform(n / 4 + 1)));
+    auto src = std::move(GenErdosRenyi(n, m, 2000 + trial)).value();
+    KernelPair kp(src, 0.5 + 0.1 * static_cast<double>(rng.Uniform(5)));
+
+    std::vector<LocalId> s, ext;
+    const uint64_t s_odds = 2 + rng.Uniform(8);
+    for (LocalId x = 0; x < n; ++x) {
+      const uint64_t r = rng.Uniform(s_odds);
+      if (r == 0) s.push_back(x);
+      else if (r <= 2) ext.push_back(x);
+    }
+    if (s.empty() || ext.empty()) continue;
+    for (size_t k = ext.size(); k > 1; --k) {
+      std::swap(ext[k - 1], ext[rng.Uniform(k)]);
+    }
+    const size_t i = rng.Uniform(ext.size());
+
+    for (MiningContext* ctx : {kp.sparse.get(), kp.dense.get()}) {
+      SCOPED_TRACE(testing::Message() << "trial=" << trial << " n=" << n
+                                      << " i=" << i << " dense="
+                                      << ctx->dense());
+      MineFrame frame;
+      ComputeDegreesFromScratch(*ctx, s, ext);
+      LoadNodeDegrees(*ctx, s, ext, frame);
+      for (size_t j = 0; j <= i; ++j) {
+        TwoHopFilter(*ctx, std::span(ext).subspan(j + 1), ext[j],
+                     &frame.ext_child);
+        SeedChildDegrees(*ctx, s, ext, j, frame);
+      }
+      const std::vector<LocalId>& ext_child = frame.ext_child;
+      std::vector<LocalId> s_child(s);
+      s_child.push_back(ext[i]);
+      const std::vector<uint32_t> ds(ctx->ds()), dext(ctx->dext());
+
+      // udeg after branch i counts S ∪ ext[i+1..).
+      std::vector<LocalId> live(s);
+      live.insert(live.end(), ext.begin() + static_cast<int64_t>(i) + 1,
+                  ext.end());
+      ComputeDegreesFromScratch(*ctx, live, {});
+      for (size_t p = 0; p < s.size(); ++p) {
+        EXPECT_EQ(frame.udeg[p], ctx->ds()[s[p]]) << "S member " << s[p];
+      }
+      for (size_t j = i + 1; j < ext.size(); ++j) {
+        EXPECT_EQ(frame.udeg[s.size() + j], ctx->ds()[ext[j]])
+            << "ext member " << ext[j];
+      }
+      if (ext_child.empty()) continue;  // nothing seeded
+
+      ComputeDegreesFromScratch(*ctx, s_child, ext_child);
+      for (LocalId x : s_child) {
+        EXPECT_EQ(ds[x], ctx->ds()[x]) << "S' member " << x;
+        EXPECT_EQ(dext[x], ctx->dext()[x]) << "S' member " << x;
+      }
+      for (LocalId x : ext_child) {
+        EXPECT_EQ(ds[x], ctx->ds()[x]) << "ext' member " << x;
+        EXPECT_EQ(dext[x], ctx->dext()[x]) << "ext' member " << x;
+      }
+      const size_t dropped = ext.size() - i - 1 - ext_child.size();
+      if (dropped == 0) continue;
+      if (dropped <= s_child.size() + ext_child.size()) {
+        ++small_f;
+      } else {
+        ++large_f;
+      }
+    }
+  }
+  // Filters that drop a few vertices and ones that drop most of ext.
+  EXPECT_GT(small_f, 10);
+  EXPECT_GT(large_f, 10);
+}
+
+TEST(KernelParityTest, IsQuasiClique) {
   Rng rng(303);
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     auto src = std::move(GenErdosRenyi(60, 1000, seed)).value();
     for (double gamma : {0.5, 0.7, 0.9}) {
       KernelPair kp(src, gamma);
       for (int trial = 0; trial < 20; ++trial) {
-        std::vector<LocalId> a, b;
+        std::vector<LocalId> s;
         for (LocalId v = 0; v < kp.graph.n(); ++v) {
-          const uint64_t r = rng.Uniform(4);
-          if (r == 0) a.push_back(v);
-          else if (r == 1) b.push_back(v);
+          if (rng.Uniform(4) < 2) s.push_back(v);
         }
-        EXPECT_EQ(kp.sparse->IsQuasiCliqueUnion(a, b),
-                  kp.dense->IsQuasiCliqueUnion(a, b))
+        EXPECT_EQ(kp.sparse->IsQuasiClique(s), kp.dense->IsQuasiClique(s))
             << "seed=" << seed << " gamma=" << gamma << " trial=" << trial;
       }
     }
@@ -266,6 +358,42 @@ void ExpectStatsParity(const MiningStats& a, const MiningStats& b) {
   EXPECT_EQ(a.diameter_filtered, b.diameter_filtered);
   EXPECT_EQ(a.size_prunes, b.size_prunes);
   EXPECT_EQ(a.subtasks_spawned, b.subtasks_spawned);
+}
+
+// Mines every root of `g` (ext = its 2-hop neighbors with larger ids)
+// with an already-expired timeout, so every branch that survives bounding
+// is wrapped as a subtask (Alg. 10); wrapped <S', ext'> pairs are mined
+// the same way until none is left, all through one pooled scratch.
+// Returns the stats summed over every context.
+MiningStats MineWithExpiredTimeout(const LocalGraph& g,
+                                   const MiningOptions& opts,
+                                   VectorSink* sink) {
+  MiningScratch scratch;
+  MiningStats total;
+  std::deque<std::pair<std::vector<LocalId>, std::vector<LocalId>>> queue;
+  for (LocalId root = 0; root < g.n(); ++root) {
+    std::vector<LocalId> later, ext;
+    for (LocalId u = root + 1; u < g.n(); ++u) later.push_back(u);
+    {
+      MiningContext ctx(&g, opts, sink, &scratch);
+      TwoHopFilter(ctx, later, root, &ext);
+    }
+    queue.emplace_back(std::vector<LocalId>{root}, std::move(ext));
+    while (!queue.empty()) {
+      auto [s, ext_q] = std::move(queue.front());
+      queue.pop_front();
+      MiningContext ctx(&g, opts, sink, &scratch);
+      ctx.ArmTimeout(0.0, [&](const std::vector<LocalId>& s_child,
+                              const std::vector<LocalId>& ext_child) {
+        queue.emplace_back(s_child, ext_child);
+      });
+      while (!ctx.TimedOut()) {
+      }  // expired before the first branch: the wrapping is deterministic
+      RecursiveMine(ctx, std::move(s), std::move(ext_q));
+      total.Add(ctx.stats);
+    }
+  }
+  return total;
 }
 
 TEST(EndToEndParityTest, SerialMinerAcrossGammaTauGrid) {
@@ -301,6 +429,22 @@ TEST(EndToEndParityTest, SerialMinerAcrossGammaTauGrid) {
       EXPECT_EQ(reports[1].stats.sparse_tasks, 0u);
       EXPECT_EQ(reports[0].stats.sparse_tasks,
                 reports[1].stats.dense_tasks);
+
+      // Armed 0 s timeout: subtasks start from freshly counted degrees,
+      // their branches from seeded ones; same maximal sets either way.
+      const LocalGraph local = FullLocalGraph(src);
+      MiningStats armed[2];
+      for (int mode = 0; mode < 2; ++mode) {
+        VectorSink sink;
+        armed[mode] =
+            MineWithExpiredTimeout(local, Options(gamma, min_size, mode == 1),
+                                   &sink);
+        EXPECT_EQ(ResultSetDigest(FilterMaximal(sink.results())), digests[0])
+            << "armed, gamma=" << gamma << " min_size=" << min_size
+            << " dense=" << mode;
+      }
+      ExpectStatsParity(armed[0], armed[1]);
+      EXPECT_GT(armed[0].subtasks_spawned, 0u);
     }
   }
 }
@@ -343,8 +487,9 @@ TEST(MiningScratchTest, ReuseAcrossMixedTasksMatchesFreshContexts) {
       ASSERT_EQ(pooled_ctx.dext()[u], fresh_ctx.dext()[u])
           << "task=" << task;
     }
-    auto cover_pooled = FindBestCoverSet(pooled_ctx, s, ext);
-    auto cover_fresh = FindBestCoverSet(fresh_ctx, s, ext);
+    std::vector<LocalId> cover_pooled, cover_fresh;
+    FindBestCoverSet(pooled_ctx, s, ext, &cover_pooled);
+    FindBestCoverSet(fresh_ctx, s, ext, &cover_fresh);
     std::sort(cover_pooled.begin(), cover_pooled.end());
     std::sort(cover_fresh.begin(), cover_fresh.end());
     ASSERT_EQ(cover_pooled, cover_fresh) << "task=" << task;
@@ -385,6 +530,22 @@ TEST(MiningScratchTest, FullMinesShareOneScratchAndStayIdentical) {
         << "root=" << root;
     ExpectStatsParity(pooled_ctx.stats, fresh_ctx.stats);
   }
+
+  // A second identical pass reuses every frame and buffer as they are.
+  const size_t frames = pooled.num_frames();
+  const uint64_t bytes = pooled.MemoryBytes();
+  EXPECT_GT(frames, 1u) << "the mines never recursed";
+  for (LocalId root = 0; root < 12; ++root) {
+    std::vector<LocalId> ext;
+    for (LocalId u : g.Neighbors(root)) {
+      if (u > root) ext.push_back(u);
+    }
+    VectorSink sink;
+    MiningContext ctx(&g, opts, &sink, &pooled);
+    RecursiveMine(ctx, {root}, std::move(ext));
+  }
+  EXPECT_EQ(pooled.num_frames(), frames);
+  EXPECT_EQ(pooled.MemoryBytes(), bytes);
 }
 
 }  // namespace

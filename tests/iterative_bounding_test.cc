@@ -34,6 +34,13 @@ Graph Clique(uint32_t n) {
   return std::move(Graph::FromEdges(n, std::move(edges))).value();
 }
 
+// IterativeBounding with its fresh-degrees precondition met.
+BoundingResult Bound(MiningContext& ctx, std::vector<LocalId>& s,
+                     std::vector<LocalId>& ext) {
+  ComputeDegreesFromScratch(ctx, s, ext);
+  return IterativeBounding(ctx, s, ext);
+}
+
 struct Fixture {
   LocalGraph graph;
   MiningOptions options;
@@ -52,7 +59,7 @@ TEST(IterativeBoundingTest, CliqueKeepsEverything) {
   Fixture fx(Clique(8), 0.9, 3);
   std::vector<LocalId> s = {0};
   std::vector<LocalId> ext = {1, 2, 3, 4, 5, 6, 7};
-  BoundingResult r = IterativeBounding(*fx.ctx, s, ext);
+  BoundingResult r = Bound(*fx.ctx, s, ext);
   EXPECT_FALSE(r.pruned);
   EXPECT_EQ(ext.size(), 7u);  // nothing pruned in a clique
   EXPECT_EQ(s.size(), 1u);
@@ -65,7 +72,7 @@ TEST(IterativeBoundingTest, PrunedFalseImpliesNonEmptyExt) {
     std::vector<LocalId> s = {0};
     std::vector<LocalId> ext;
     for (LocalId u = 1; u < 20; ++u) ext.push_back(u);
-    BoundingResult r = IterativeBounding(*fx.ctx, s, ext);
+    BoundingResult r = Bound(*fx.ctx, s, ext);
     if (!r.pruned) {
       EXPECT_FALSE(ext.empty());
     }
@@ -86,17 +93,45 @@ TEST(IterativeBoundingTest, IsolatedExtVertexPruned) {
   Fixture fx(g, 0.9, 2);
   std::vector<LocalId> s = {0};
   std::vector<LocalId> ext = {1, 2, 3, 4};
-  BoundingResult r = IterativeBounding(*fx.ctx, s, ext);
+  BoundingResult r = Bound(*fx.ctx, s, ext);
   EXPECT_FALSE(r.pruned);
   // 4 has dS = dExt = 0 -> Theorem 3 prunes it immediately.
   EXPECT_EQ(ext, (std::vector<LocalId>{1, 2, 3}));
+}
+
+TEST(IterativeBoundingTest, LeavesFreshDegreesWhenNotPruned) {
+  // RecursiveMine hands the returned <s, ext> to the child node without
+  // recounting: ds/dext must match a recount whenever pruned == false.
+  int unpruned = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    auto g = std::move(GenErdosRenyi(24, 150, seed)).value();
+    for (double gamma : {0.6, 0.75}) {
+      Fixture fx(g, gamma, 3);
+      std::vector<LocalId> s = {0};
+      std::vector<LocalId> ext;
+      for (LocalId u = 1; u < 24; ++u) ext.push_back(u);
+      if (Bound(*fx.ctx, s, ext).pruned) continue;
+      ++unpruned;
+      std::vector<uint32_t> ds(fx.ctx->ds()), dext(fx.ctx->dext());
+      ComputeDegreesFromScratch(*fx.ctx, s, ext);
+      for (LocalId x : s) {
+        EXPECT_EQ(ds[x], fx.ctx->ds()[x]) << "seed=" << seed;
+        EXPECT_EQ(dext[x], fx.ctx->dext()[x]) << "seed=" << seed;
+      }
+      for (LocalId x : ext) {
+        EXPECT_EQ(ds[x], fx.ctx->ds()[x]) << "seed=" << seed;
+        EXPECT_EQ(dext[x], fx.ctx->dext()[x]) << "seed=" << seed;
+      }
+    }
+  }
+  EXPECT_GT(unpruned, 0);
 }
 
 TEST(IterativeBoundingTest, StateFlagsRestoredOnExit) {
   Fixture fx(Clique(6), 0.9, 3);
   std::vector<LocalId> s = {0};
   std::vector<LocalId> ext = {1, 2, 3, 4, 5};
-  IterativeBounding(*fx.ctx, s, ext);
+  Bound(*fx.ctx, s, ext);
   for (LocalId v = 0; v < fx.graph.n(); ++v) {
     EXPECT_EQ(fx.ctx->state()[v], static_cast<uint8_t>(VState::kOut)) << v;
   }
@@ -115,7 +150,7 @@ TEST(IterativeBoundingTest, EmitsWhenExtFullyPruned) {
   Fixture fx(g, 1.0, 3);
   std::vector<LocalId> s = {0, 1, 2, 3, 4};
   std::vector<LocalId> ext = {5};
-  BoundingResult r = IterativeBounding(*fx.ctx, s, ext);
+  BoundingResult r = Bound(*fx.ctx, s, ext);
   EXPECT_TRUE(r.pruned);
   EXPECT_TRUE(r.emitted);
   ASSERT_EQ(fx.sink.results().size(), 1u);
@@ -130,7 +165,7 @@ TEST(IterativeBoundingTest, CriticalVertexPullsNeighbors) {
   Fixture fx(g, 1.0, 3);
   std::vector<LocalId> s = {0, 1, 2, 3};
   std::vector<LocalId> ext = {4, 5};
-  BoundingResult r = IterativeBounding(*fx.ctx, s, ext);
+  BoundingResult r = Bound(*fx.ctx, s, ext);
   // With gamma=1 and L_S = 0... S is already a clique; critical condition
   // requires dS+dext == ceil(gamma(|S|+L-1)). Whether or not the rule
   // fires, the outcome must keep the 6-clique reachable: not pruned, or
@@ -161,7 +196,7 @@ TEST(IterativeBoundingTest, CriticalVertexDisabledStillCorrect) {
     std::vector<LocalId> s = {0};
     std::vector<LocalId> ext;
     for (LocalId u = 1; u < 15; ++u) ext.push_back(u);
-    BoundingResult r = IterativeBounding(*fx->ctx, s, ext);
+    BoundingResult r = Bound(*fx->ctx, s, ext);
     if (r.pruned) continue;
     // Every oracle result containing vertex 0 must be inside s ∪ ext.
     for (const auto& q : oracle) {
@@ -188,7 +223,7 @@ TEST_P(BoundingSoundness, NeverPrunesValidExtensions) {
     std::vector<LocalId> s = {0};
     std::vector<LocalId> ext;
     for (LocalId u = 1; u < 16; ++u) ext.push_back(u);
-    BoundingResult r = IterativeBounding(*fx.ctx, s, ext);
+    BoundingResult r = Bound(*fx.ctx, s, ext);
     auto oracle =
         std::move(NaiveMaximalQuasiCliques(g, gamma, 3)).value();
     for (const auto& q : oracle) {
