@@ -1,4 +1,4 @@
-// Ablation B (DESIGN.md): task-decomposition strategies head to head on
+// Ablation B: task-decomposition strategies head to head on
 // the hard dataset --
 //   * none           : one task per root, no decomposition (head-of-line
 //                      blocking on expensive roots);
@@ -45,7 +45,7 @@ int main() {
   };
 
   Table table({"Strategy", "Time", "Tasks", "Materialization",
-               "Mining", "Busy max/min", "Maximal #"});
+               "Mining", "Busy imbalance", "Maximal #"});
   for (const Row& row : rows) {
     EngineConfig config = ClusterPreset();
     config.mining = spec->Mining();

@@ -40,7 +40,7 @@ void Banner(const std::string& title);
 void Note(const std::string& text);
 
 /// The default simulated-cluster preset used by the table benches:
-/// 2 machines x 2 threads (the host has few cores; DESIGN.md §3).
+/// 2 machines x 2 threads (sized for a host with few cores).
 EngineConfig ClusterPreset();
 
 /// True if the QCM_BENCH_QUICK environment variable asks for reduced grids.

@@ -6,7 +6,7 @@
 // early; in addition to wall time we therefore report the quantities that
 // demonstrate the paper's load-balancing claim independent of host size:
 // aggregate mining throughput (total mining seconds / wall second) and the
-// max/min per-thread busy ratio (1.0 = perfectly balanced).
+// per-thread busy imbalance, 1 - mean/max (0 = perfectly balanced).
 
 #include <cstdio>
 #include <thread>
@@ -69,7 +69,7 @@ int main() {
   Note("\n(a) Vertical scalability (machines fixed at 2, threads/machine "
        "doubling; paper: 16 machines, 4->32 threads)");
   Table vertical({"Machines", "Threads/m", "Time", "Effective parallelism",
-                  "Busy max/min", "RAM", "Disk", "Maximal #"});
+                  "Busy imbalance", "RAM", "Disk", "Maximal #"});
   if (RunSweep(*graph, *spec, {{2, 1}, {2, 2}, {2, 4}, {2, 8}}, &vertical)) {
     return 1;
   }
@@ -79,7 +79,7 @@ int main() {
   Note("\n(b) Horizontal scalability (threads/machine fixed at 2, machines "
        "doubling; paper: 32 threads, 2->16 machines)");
   Table horizontal({"Machines", "Threads/m", "Time", "Effective parallelism",
-                    "Busy max/min", "RAM", "Disk", "Maximal #"});
+                    "Busy imbalance", "RAM", "Disk", "Maximal #"});
   if (RunSweep(*graph, *spec, {{1, 2}, {2, 2}, {4, 2}, {8, 2}},
                &horizontal)) {
     return 1;

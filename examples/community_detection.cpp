@@ -109,6 +109,6 @@ int main() {
               static_cast<unsigned long>(r.counters.cache_misses));
   std::printf("  mining vs. materialization: %.3f s vs %.3f s\n",
               r.total_mining_seconds, r.total_materialize_seconds);
-  std::printf("  thread busy max/min ratio : %.2f\n", r.BusyImbalance());
+  std::printf("  thread busy imbalance    : %.2f\n", r.BusyImbalance());
   return 0;
 }

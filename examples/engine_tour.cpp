@@ -145,6 +145,6 @@ int main() {
               static_cast<unsigned long>(report->counters.cache_hits),
               static_cast<unsigned long>(report->counters.cache_misses),
               static_cast<unsigned long>(report->counters.cache_evictions));
-  std::printf("  per-thread busy max/min: %.2f\n", report->BusyImbalance());
+  std::printf("  per-thread busy imbalance: %.2f\n", report->BusyImbalance());
   return 0;
 }

@@ -1,9 +1,9 @@
 // Synthetic graph generators. These stand in for the paper's SNAP / KONECT /
-// NCBI-GEO datasets, which are not redistributable offline (see DESIGN.md
-// §5): gene-coexpression inputs are modeled as overlapping planted dense
-// modules, social/collaboration networks as power-law backgrounds with
-// planted near-gamma-dense communities. All generators are deterministic
-// for a given seed.
+// NCBI-GEO datasets, which are not redistributable offline (the recipes
+// are in bench/datasets.h): gene-coexpression inputs are modeled as
+// overlapping planted dense modules, social/collaboration networks as
+// power-law backgrounds with planted near-gamma-dense communities. All
+// generators are deterministic for a given seed.
 
 #ifndef QCM_GRAPH_GENERATORS_H_
 #define QCM_GRAPH_GENERATORS_H_

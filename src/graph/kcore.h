@@ -8,7 +8,7 @@
 // beyond a small graph" (§4 T1). Every engine path installs the mask
 // before spawning: SerialMiner and ParallelMiner from the in-memory graph,
 // the cluster launcher from the .qcsr snapshot (shipped to ranks packed
-// with PackVertexMask), a rebuilding worker from its own graph.
+// with PackVertexMask).
 
 #ifndef QCM_GRAPH_KCORE_H_
 #define QCM_GRAPH_KCORE_H_

@@ -3,8 +3,7 @@
 // a read-only CSR): a rank can mine a partition whose adjacency bytes
 // exceed its --graph-memory-budget, because adjacency pages are faulted
 // in on demand and evicted with madvise(MADV_DONTNEED) under a CLOCK
-// second-chance policy (the same eviction discipline VertexCache uses for
-// remote adjacencies, applied to local pages).
+// second-chance policy.
 //
 // Residency model: the snapshot mapping is read-only and file-backed, so
 // "eviction" only drops the physical page -- a later access transparently

@@ -39,8 +39,6 @@ EngineCountersSnapshot EngineCountersSnapshot::From(const EngineCounters& c) {
   s.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
   s.cache_misses = c.cache_misses.load(std::memory_order_relaxed);
   s.cache_evictions = c.cache_evictions.load(std::memory_order_relaxed);
-  s.cache_admit_rejects =
-      c.cache_admit_rejects.load(std::memory_order_relaxed);
   s.pin_hits = c.pin_hits.load(std::memory_order_relaxed);
   s.remote_bytes = c.remote_bytes.load(std::memory_order_relaxed);
   s.task_suspensions = c.task_suspensions.load(std::memory_order_relaxed);
@@ -184,8 +182,6 @@ constexpr CounterField kCounterFields[] = {
     {"cache_hits", &EngineCountersSnapshot::cache_hits, false},
     {"cache_misses", &EngineCountersSnapshot::cache_misses, false},
     {"cache_evictions", &EngineCountersSnapshot::cache_evictions, false},
-    {"cache_admit_rejects", &EngineCountersSnapshot::cache_admit_rejects,
-     false},
     {"pin_hits", &EngineCountersSnapshot::pin_hits, false},
     {"remote_bytes", &EngineCountersSnapshot::remote_bytes, false},
     {"task_suspensions", &EngineCountersSnapshot::task_suspensions, false},
@@ -531,18 +527,15 @@ std::string EngineReportJson(const EngineReport& report) {
 }
 
 double EngineReport::BusyImbalance() const {
-  if (threads.empty()) return 1.0;
-  double min_busy = threads[0].busy_seconds;
-  double max_busy = threads[0].busy_seconds;
+  double sum_busy = 0.0;
+  double max_busy = 0.0;
   for (const ThreadSummary& t : threads) {
-    min_busy = std::min(min_busy, t.busy_seconds);
+    sum_busy += t.busy_seconds;
     max_busy = std::max(max_busy, t.busy_seconds);
   }
-  // A thread that never ran makes the ratio undefined; report 0.0 (a
-  // clearly-invalid value for a max/min ratio) instead of a pseudo-inf
-  // that poisons downstream aggregation and JSON consumers.
-  if (min_busy <= 0.0) return max_busy > 0.0 ? 0.0 : 1.0;
-  return max_busy / min_busy;
+  if (max_busy <= 0.0) return 0.0;
+  const double mean_busy = sum_busy / static_cast<double>(threads.size());
+  return 1.0 - mean_busy / max_busy;
 }
 
 }  // namespace qcm

@@ -84,9 +84,6 @@ struct EngineCounters {
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
   std::atomic<uint64_t> cache_evictions{0};
-  /// Inserts the TinyLFU admission filter rejected (the candidate's
-  /// estimated frequency lost against the eviction victim's).
-  std::atomic<uint64_t> cache_admit_rejects{0};
   /// Fetch/Request served by an adjacency the task itself pinned from a
   /// prior pull round (no cache lookup, no transfer).
   std::atomic<uint64_t> pin_hits{0};
@@ -188,7 +185,6 @@ struct EngineCountersSnapshot {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  uint64_t cache_admit_rejects = 0;
   uint64_t pin_hits = 0;
   uint64_t remote_bytes = 0;
   uint64_t task_suspensions = 0;
@@ -324,8 +320,9 @@ struct EngineReport {
   double total_busy_seconds = 0.0;
   double total_idle_seconds = 0.0;
 
-  /// Max/min per-thread busy time ratio; 1.0 = perfectly balanced, 0.0
-  /// when some thread never ran (the ratio is undefined -- never NaN/inf).
+  /// 1 - mean/max of per-thread busy seconds, in [0, 1): 0 = perfectly
+  /// balanced (and 0 when no thread ran); near 1 = one thread did almost
+  /// all the work while the rest idled.
   double BusyImbalance() const;
 };
 

@@ -15,35 +15,6 @@ VertexTable::VertexTable(const Graph* graph, int num_machines)
   }
 }
 
-VertexTable::VertexTable(const Graph& full, int num_machines,
-                         int local_rank)
-    : graph_(nullptr),
-      num_machines_(num_machines),
-      local_rank_(local_rank),
-      owned_(num_machines) {
-  QCM_CHECK(local_rank >= 0 && local_rank < num_machines)
-      << "bad local rank " << local_rank << "/" << num_machines;
-  const uint32_t n = full.NumVertices();
-  degrees_.resize(n);
-  local_offsets_.assign(n + 1, 0);
-  uint64_t local_entries = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    degrees_[v] = full.Degree(v);
-    const int owner = Owner(v);
-    owned_[owner].push_back(v);
-    if (owner == local_rank) local_entries += degrees_[v];
-  }
-  local_adj_.reserve(local_entries);
-  for (VertexId v = 0; v < n; ++v) {
-    local_offsets_[v] = local_adj_.size();
-    if (Owner(v) == local_rank) {
-      auto adj = full.Neighbors(v);
-      local_adj_.insert(local_adj_.end(), adj.begin(), adj.end());
-    }
-  }
-  local_offsets_[n] = local_adj_.size();
-}
-
 VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
                          int num_machines, int local_rank,
                          uint64_t graph_memory_budget)
@@ -75,28 +46,19 @@ void VertexTable::SetAliveMask(std::vector<uint8_t> alive) {
 
 std::span<const VertexId> VertexTable::Adjacency(VertexId v) const {
   if (graph_ != nullptr) return graph_->Neighbors(v);
-  if (snapshot_ != nullptr) {
-    QCM_CHECK(local_rank_ < 0 || Owner(v) == local_rank_)
-        << "adjacency of vertex " << v << " (owner " << Owner(v)
-        << ") read on rank " << local_rank_
-        << ": remote adjacency does not exist in a partitioned table";
-    return paged_->Adjacency(v);
-  }
-  QCM_CHECK(Owner(v) == local_rank_)
+  QCM_CHECK(local_rank_ < 0 || Owner(v) == local_rank_)
       << "adjacency of vertex " << v << " (owner " << Owner(v)
       << ") read on rank " << local_rank_
       << ": remote adjacency does not exist in a partitioned table";
-  return {local_adj_.data() + local_offsets_[v],
-          local_adj_.data() + local_offsets_[v + 1]};
+  return paged_->Adjacency(v);
 }
 
 DataService::DataService(const VertexTable* table, int machine,
-                         size_t cache_capacity, EngineCounters* counters,
-                         CachePolicy policy)
+                         size_t cache_capacity, EngineCounters* counters)
     : table_(table),
       machine_(machine),
       counters_(counters),
-      cache_(cache_capacity, counters, policy) {}
+      cache_(cache_capacity, counters) {}
 
 AdjRef DataService::Fetch(VertexId v) {
   if (IsLocal(v)) {

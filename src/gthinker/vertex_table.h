@@ -35,15 +35,14 @@ namespace qcm {
 
 /// Hash partitioning of an immutable graph across machines.
 ///
-/// Two storage modes share one interface:
+/// Two backings share one interface:
 ///   * Simulated (in-process) mode wraps the full shared Graph -- every
 ///     machine's adjacency is readable because every "machine" lives in
 ///     this process.
-///   * Partitioned (process-per-machine) mode holds only the local rank's
-///     adjacency lists plus a replicated degree array: degree is vertex
-///     metadata every process keeps (spawn thresholds and frontier
-///     qualification read remote degrees), while reading a remote
-///     vertex's adjacency is impossible by construction and fails loudly
+///   * Snapshot mode serves a mmap'd .qcsr snapshot. Degrees of every
+///     vertex are readable (spawn thresholds and frontier qualification
+///     read remote degrees); with a local rank, only that rank's
+///     adjacency is, and reading a remote vertex's adjacency fails loudly
 ///     -- exactly the discipline the pull protocol must satisfy.
 class VertexTable {
  public:
@@ -51,17 +50,11 @@ class VertexTable {
   /// `num_machines` in-process machines. `graph` must outlive the table.
   VertexTable(const Graph* graph, int num_machines);
 
-  /// Partitioned mode: copies only the adjacency lists `full` assigns to
-  /// `local_rank` (plus the degree metadata of every vertex) and does NOT
-  /// retain `full` -- the caller may free the full graph afterwards,
-  /// leaving this process with its partition only.
-  VertexTable(const Graph& full, int num_machines, int local_rank);
-
   /// Snapshot mode: serves degrees and adjacency straight out of a
   /// mmap'd .qcsr snapshot -- no transient full Graph is ever built, so
   /// startup peak RSS is the owned slice plus replicated metadata.
-  /// `local_rank` >= 0 behaves like partitioned mode (owned adjacency
-  /// only, remote reads fail loudly); -1 serves every vertex.
+  /// `local_rank` >= 0 is a partitioned table (owned adjacency only,
+  /// remote reads fail loudly); -1 serves every vertex.
   /// `graph_memory_budget` > 0 bounds resident adjacency bytes via the
   /// PagedAdjacencyStore; 0 keeps the partition's pages resident on use.
   VertexTable(std::shared_ptr<CsrSnapshot> snapshot, int num_machines,
@@ -81,7 +74,7 @@ class VertexTable {
   /// The rank whose adjacency this partition holds (-1 when simulated).
   int local_rank() const { return local_rank_; }
 
-  /// Adjacency of v. Partitioned mode: v must be owned by the local rank
+  /// Adjacency of v. Partitioned table: v must be owned by the local rank
   /// (QCM_CHECK -- a remote adjacency physically is not here).
   std::span<const VertexId> Adjacency(VertexId v) const;
 
@@ -95,15 +88,12 @@ class VertexTable {
 
   uint32_t Degree(VertexId v) const {
     if (!alive_.empty() && alive_[v] == 0) return 0;
-    if (graph_ != nullptr) return graph_->Degree(v);
-    if (snapshot_ != nullptr) return snapshot_->Degree(v);
-    return degrees_[v];
+    return graph_ != nullptr ? graph_->Degree(v) : snapshot_->Degree(v);
   }
 
   uint32_t NumVertices() const {
-    if (graph_ != nullptr) return graph_->NumVertices();
-    if (snapshot_ != nullptr) return snapshot_->NumVertices();
-    return static_cast<uint32_t>(degrees_.size());
+    return graph_ != nullptr ? graph_->NumVertices()
+                             : snapshot_->NumVertices();
   }
 
   /// Vertices owned by `machine`, ascending.
@@ -119,18 +109,12 @@ class VertexTable {
   PagedAdjacencyStore* paged_store() const { return paged_.get(); }
 
  private:
-  const Graph* graph_;  // simulated mode; null when partitioned
+  const Graph* graph_;  // simulated mode; null in snapshot mode
   int num_machines_;
   int local_rank_ = -1;
   std::vector<std::vector<VertexId>> owned_;
   /// Global k-core membership; empty = every vertex alive.
   std::vector<uint8_t> alive_;
-
-  // Partitioned-mode storage: degree of every vertex; CSR rows only for
-  // vertices owned by local_rank_ (others have zero extent).
-  std::vector<uint32_t> degrees_;
-  std::vector<uint64_t> local_offsets_;  // size NumVertices()+1
-  std::vector<VertexId> local_adj_;
 
   // Snapshot-mode storage: degrees/adjacency live in the mapping; the
   // paged store manages adjacency residency under the budget.
@@ -142,8 +126,7 @@ class VertexTable {
 class DataService {
  public:
   DataService(const VertexTable* table, int machine, size_t cache_capacity,
-              EngineCounters* counters,
-              CachePolicy policy = CachePolicy::kLRU);
+              EngineCounters* counters);
 
   bool IsLocal(VertexId v) const { return table_->Owner(v) == machine_; }
 

@@ -93,7 +93,11 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // evictions / fault-stall time).
 // v7: global k-core pruning. ClusterJobSpec grew the launcher-peeled
 // k-core mask (n bits); EngineReport grew the tasks_spawned counter.
-inline constexpr uint32_t kWireProtocolVersion = 7;
+// v8: one storage path and one cache policy. ClusterJobSpec lost the
+// input / gen_planted / seed rebuild fields (graph_snapshot is now
+// required); EngineConfig lost the cache-policy byte; EngineReport lost
+// the cache admission-reject counter.
+inline constexpr uint32_t kWireProtocolVersion = 8;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

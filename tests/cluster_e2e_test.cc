@@ -199,27 +199,6 @@ TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
 }
 
-// The legacy per-rank rebuild path (--no-snapshot) must stay alive and
-// bit-identical as the fallback when no snapshot can be shipped.
-TEST(ClusterE2ETest, LegacyNoSnapshotPathStillMatches) {
-  const RunResult single = RunCommand(
-      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --machines 3 --threads 2");
-  ASSERT_EQ(single.exit_code, 0) << single.output;
-
-  const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 3 --threads 2 --no-snapshot");
-  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-  EXPECT_EQ(cluster.output.find("packed"), std::string::npos)
-      << cluster.output;
-
-  const std::string single_digest = Digest(single.output);
-  ASSERT_EQ(single_digest.size(), 16u) << single.output;
-  EXPECT_EQ(single_digest, Digest(cluster.output))
-      << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
-}
-
 /// Size of the global k-core the ranks may spawn from: the test's own
 /// in-process peel of the graph every tool builds from kGraphSpec.
 uint64_t ExpectedKCoreSize() {
@@ -233,33 +212,28 @@ uint64_t ExpectedKCoreSize() {
   return qcm::KCoreSize(g.value(), mining.MinDegreeK());
 }
 
-// Paper §4 T1 across processes: every rank spawns only global k-core
-// vertices, whether the launcher peeled the snapshot and shipped the mask
-// or each rank peeled the graph it rebuilt.
+// Paper §4 T1 across processes: the launcher peels the snapshot, ships
+// the mask, and every rank spawns only global k-core vertices.
 TEST(ClusterE2ETest, RanksSpawnOnlyGlobalKCoreVertices) {
   const uint64_t core = ExpectedKCoreSize();
   ASSERT_GT(core, 0u);
-  for (const std::string mode : {"", " --no-snapshot"}) {
-    const std::string json_path = ::testing::TempDir() + "/qcm_kcore.json";
-    const RunResult cluster = RunCommand(
-        BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-        kMiningFlags + " --workers 3 --threads 2 --stats --stats-json " +
-        json_path + mode);
-    ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-    const std::string json = ReadFile(json_path);
-    const size_t merged_at = json.find("\"merged\"");
-    ASSERT_NE(merged_at, std::string::npos) << json;
-    const long long spawned = JsonCounter(json, "tasks_spawned", merged_at);
-    EXPECT_GT(spawned, 0) << mode << "\n" << json;
-    EXPECT_LE(spawned, static_cast<long long>(core)) << mode << "\n" << json;
-    if (mode.empty()) {
-      EXPECT_NE(cluster.output.find("k-core: " + std::to_string(core) +
-                                    " of 1500 vertices (k=6)"),
-                std::string::npos)
-          << cluster.output;
-    }
-    std::remove(json_path.c_str());
-  }
+  const std::string json_path = ::testing::TempDir() + "/qcm_kcore.json";
+  const RunResult cluster = RunCommand(
+      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
+      kMiningFlags + " --workers 3 --threads 2 --stats --stats-json " +
+      json_path);
+  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
+  const std::string json = ReadFile(json_path);
+  const size_t merged_at = json.find("\"merged\"");
+  ASSERT_NE(merged_at, std::string::npos) << json;
+  const long long spawned = JsonCounter(json, "tasks_spawned", merged_at);
+  EXPECT_GT(spawned, 0) << json;
+  EXPECT_LE(spawned, static_cast<long long>(core)) << json;
+  EXPECT_NE(cluster.output.find("k-core: " + std::to_string(core) +
+                                " of 1500 vertices (k=6)"),
+            std::string::npos)
+      << cluster.output;
+  std::remove(json_path.c_str());
 }
 
 // The launcher verifies the whole snapshot, adjacency included, before

@@ -237,8 +237,8 @@ TEST(CsrSnapshotTest, PagedStoreMatchesResidentUnderEvictionChurn) {
   ASSERT_TRUE(snap.ok());
 
   const int kMachines = 3;
+  const VertexTable resident(&g, kMachines);
   for (int rank = 0; rank < kMachines; ++rank) {
-    VertexTable resident(g, kMachines, rank);
     // Two pages of budget against a multi-page partition: every pass over
     // the owned vertices must evict and repin mid-scan.
     VertexTable paged(*snap, kMachines, rank, /*graph_memory_budget=*/8192);
@@ -295,8 +295,8 @@ TEST(CsrSnapshotTest, UnboundedSnapshotTableServesAllVertices) {
   EXPECT_EQ(stats.page_evictions, 0u);
 }
 
-// The launcher peels the snapshot it maps; a rebuilding rank peels the
-// Graph it built. Both must give the same k-core.
+// The launcher peels the snapshot it maps; the in-process miners peel the
+// Graph they hold. Both must give the same k-core.
 void ExpectKCoreParity(const Graph& g, const std::string& what) {
   const std::string path = TempPath("kcore_parity.qcsr");
   ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
@@ -356,9 +356,8 @@ TEST(CsrSnapshotTest, AliveMaskZeroesOnlyPeeledDegrees) {
   ASSERT_LT(CountAlive(alive), g.NumVertices());
 
   VertexTable simulated(&g, 2);
-  VertexTable partitioned(g, 2, /*local_rank=*/0);
   VertexTable mapped(*snap, 2, /*local_rank=*/0, /*graph_memory_budget=*/0);
-  for (VertexTable* table : {&simulated, &partitioned, &mapped}) {
+  for (VertexTable* table : {&simulated, &mapped}) {
     table->SetAliveMask(alive);
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       EXPECT_EQ(table->Degree(v), alive[v] ? g.Degree(v) : 0u) << v;

@@ -1,5 +1,5 @@
 // Unit tests for the exact Gamma arithmetic and the U_S / L_S bound
-// machinery (paper invariant I4 in DESIGN.md).
+// machinery.
 
 #include <gtest/gtest.h>
 

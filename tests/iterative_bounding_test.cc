@@ -212,7 +212,7 @@ TEST(IterativeBoundingTest, CriticalVertexDisabledStillCorrect) {
 }
 
 // Property: after bounding on random graphs, no vertex of any valid
-// quasi-clique containing S was Type-I-pruned (I3 in DESIGN.md).
+// quasi-clique containing S was Type-I-pruned.
 class BoundingSoundness : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(BoundingSoundness, NeverPrunesValidExtensions) {

@@ -14,32 +14,34 @@ namespace {
 
 TEST(BusyImbalanceTest, NoThreadsIsPerfectlyBalanced) {
   EngineReport report;
-  EXPECT_DOUBLE_EQ(report.BusyImbalance(), 1.0);
+  EXPECT_DOUBLE_EQ(report.BusyImbalance(), 0.0);
 }
 
 TEST(BusyImbalanceTest, AllThreadsIdleIsPerfectlyBalanced) {
   EngineReport report;
   report.threads.resize(3);  // busy_seconds all 0.0
-  EXPECT_DOUBLE_EQ(report.BusyImbalance(), 1.0);
+  EXPECT_DOUBLE_EQ(report.BusyImbalance(), 0.0);
 }
 
-TEST(BusyImbalanceTest, ThreadThatNeverRanYieldsZeroNotInf) {
+TEST(BusyImbalanceTest, ThreadThatNeverRanStaysBelowOne) {
   EngineReport report;
   report.threads.resize(2);
   report.threads[0].busy_seconds = 3.5;
-  report.threads[1].busy_seconds = 0.0;  // max/min is undefined
+  report.threads[1].busy_seconds = 0.0;  // mean 1.75, max 3.5
   const double imbalance = report.BusyImbalance();
-  EXPECT_DOUBLE_EQ(imbalance, 0.0);
-  EXPECT_TRUE(std::isfinite(imbalance));
+  EXPECT_DOUBLE_EQ(imbalance, 0.5);
+  EXPECT_LT(imbalance, 1.0);
 }
 
-TEST(BusyImbalanceTest, NormalRatioIsMaxOverMin) {
+TEST(BusyImbalanceTest, OneMinusMeanOverMax) {
   EngineReport report;
   report.threads.resize(3);
   report.threads[0].busy_seconds = 2.0;
   report.threads[1].busy_seconds = 4.0;
   report.threads[2].busy_seconds = 3.0;
-  EXPECT_DOUBLE_EQ(report.BusyImbalance(), 2.0);
+  EXPECT_DOUBLE_EQ(report.BusyImbalance(), 1.0 - 3.0 / 4.0);
+  for (ThreadSummary& t : report.threads) t.busy_seconds = 2.5;
+  EXPECT_DOUBLE_EQ(report.BusyImbalance(), 0.0);
 }
 
 TEST(DerivedRatiosTest, CacheHitRatioWithNoDemandIsOne) {

@@ -3,7 +3,8 @@
 // data-plane mesh, steal commands, distributed termination detection with
 // report collection, and -- the core §5 parity claim -- a full 3-"process"
 // distributed engine run (three TcpTransport-backed engines over
-// partitioned vertex tables, real loopback sockets between them) whose
+// partitioned snapshot-backed vertex tables, real loopback sockets between
+// them) whose
 // merged maximal result set is bit-identical to simulated single-process
 // mode.
 
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "gthinker/engine.h"
 #include "mining/parallel_miner.h"
@@ -340,7 +342,8 @@ TEST(TcpTransportTest, LingerExpiryFlushesParkedFrames) {
 }
 
 // The §5 parity claim, in-process: three TcpTransport-backed engines over
-// partitioned tables mine the same maximal set as simulated mode.
+// partitioned snapshot tables (one temp .qcsr, each rank serving only its
+// own adjacency) mine the same maximal set as simulated mode.
 TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
   auto spec = ParsePlantedSpec("n=900,communities=4,size=9..12,density=0.95",
                                7);
@@ -367,11 +370,14 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
     expected = std::move(result->maximal);
   }
   ASSERT_FALSE(expected.empty());
+  const std::string snapshot_path =
+      testing::TempDir() + "/distributed_parity.qcsr";
+  ASSERT_TRUE(WriteCsrSnapshot(*graph, {}, snapshot_path).ok());
 
   // Distributed: one engine per rank, real sockets in between. Run once
   // with the given config; out-params get the canonical maximal set and
   // the merged cluster report.
-  auto run_distributed = [&graph](const EngineConfig& run_config,
+  auto run_distributed = [&snapshot_path](const EngineConfig& run_config,
                                   std::vector<VertexSet>* out_results,
                                   EngineReport* out_merged) {
     CoordinatorConfig coord_config;
@@ -387,8 +393,11 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
       auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
       ASSERT_TRUE(t.ok()) << t.status().ToString();
       std::unique_ptr<TcpTransport> transport = std::move(t).value();
-      auto table =
-          std::make_unique<VertexTable>(*graph, 3, transport->rank());
+      auto snap = CsrSnapshot::Open(snapshot_path);
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      auto table = std::make_unique<VertexTable>(
+          std::move(snap).value(), 3, transport->rank(),
+          /*graph_memory_budget=*/0);
       QCApp app(run_config);
       Engine engine(std::move(table), run_config, &app, transport.get());
       auto report = engine.Run();

@@ -1,5 +1,5 @@
 // Tests for the pull-based vertex access subsystem (paper §5, Fig. 8):
-// VertexCache LRU/CLOCK eviction and the capacity=0 (cache off) mode, the
+// VertexCache LRU eviction and the capacity=0 (cache off) mode, the
 // DataService fetch paths, the PullBroker request/response protocol over
 // the CommFabric, and the end-to-end invariant that ParallelMiner results
 // stay bit-identical to the direct-read path under cache pressure,
@@ -82,112 +82,21 @@ TEST(VertexCacheTest, CapacityZeroDisablesCaching) {
   EXPECT_EQ(counters.cache_evictions.load(), 0u);
 }
 
-TEST(VertexCacheTest, ClockHitSetsReferenceBitAndSurvivesScan) {
+TEST(VertexCacheTest, ReinsertOfResidentEntryRefreshesWithoutEviction) {
   EngineCounters counters;
-  VertexCache cache(3, &counters, CachePolicy::kClock);
-  EXPECT_EQ(cache.policy(), CachePolicy::kClock);
-  cache.Insert(10, Adj({1}));
-  cache.Insert(20, Adj({2}));
-  cache.Insert(30, Adj({3}));
-  // Reference 10: the next eviction must pick an unreferenced entry.
-  EXPECT_NE(cache.Lookup(10), nullptr);
-  cache.Insert(40, Adj({4}));
-  EXPECT_EQ(counters.cache_evictions.load(), 1u);
-  // 20 was the hand's first unreferenced victim; 10 survived its second
-  // chance.
-  EXPECT_EQ(cache.Lookup(20, /*count_stats=*/false), nullptr);
-  EXPECT_NE(cache.Lookup(10, /*count_stats=*/false), nullptr);
-  EXPECT_NE(cache.Lookup(40, /*count_stats=*/false), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 3u);
-}
-
-TEST(VertexCacheTest, ClockScanEvictsUnreferencedInsertionOrder) {
-  EngineCounters counters;
-  VertexCache cache(2, &counters, CachePolicy::kClock);
-  // A pure scan (no hits): insertions evict in ring order.
-  for (VertexId v = 0; v < 10; ++v) {
-    cache.Insert(v, Adj({v}));
-  }
-  EXPECT_EQ(counters.cache_evictions.load(), 8u);
-  EXPECT_LE(cache.ApproxSize(), 2u);
-  // The most recent inserts are resident.
-  EXPECT_NE(cache.Lookup(8, /*count_stats=*/false), nullptr);
-  EXPECT_NE(cache.Lookup(9, /*count_stats=*/false), nullptr);
-}
-
-TEST(VertexCacheTest, ClockCapacityZeroDisablesCaching) {
-  EngineCounters counters;
-  VertexCache cache(0, &counters, CachePolicy::kClock);
-  EXPECT_FALSE(cache.enabled());
-  cache.Insert(1, Adj({2}));
-  EXPECT_EQ(cache.Lookup(1), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 0u);
-}
-
-TEST(VertexCacheTest, TinyLfuAdmitsFrequentOverScan) {
-  EngineCounters counters;
-  // Single shard so the admission duel is against the true global LRU
-  // victim.
-  VertexCache cache(3, &counters, CachePolicy::kTinyLFU);
-  cache.Insert(10, Adj({1}));
-  cache.Insert(20, Adj({2}));
-  cache.Insert(30, Adj({3}));
-  // Warm the working set: several counted demands per resident vertex.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NE(cache.Lookup(10), nullptr);
-    EXPECT_NE(cache.Lookup(20), nullptr);
-    EXPECT_NE(cache.Lookup(30), nullptr);
-  }
-  // A one-shot scan of cold vertices loses every admission duel: the
-  // working set survives untouched and the rejections are counted.
-  for (VertexId v = 100; v < 120; ++v) {
-    cache.Insert(v, Adj({v}));
-  }
-  EXPECT_EQ(counters.cache_admit_rejects.load(), 20u);
-  EXPECT_EQ(counters.cache_evictions.load(), 0u);
-  EXPECT_NE(cache.Lookup(10), nullptr);
-  EXPECT_NE(cache.Lookup(20), nullptr);
-  EXPECT_NE(cache.Lookup(30), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 3u);
-}
-
-TEST(VertexCacheTest, TinyLfuAdmitsWhenNewcomerIsAtLeastAsFrequent) {
-  EngineCounters counters;
-  VertexCache cache(2, &counters, CachePolicy::kTinyLFU);
+  VertexCache cache(2, &counters);
   cache.Insert(1, Adj({1}));
   cache.Insert(2, Adj({2}));
-  // Build demand for 9 (two counted misses) while the victim-to-be (the
-  // LRU tail, vertex 1) has only its insert-time touch.
-  EXPECT_EQ(cache.Lookup(9), nullptr);
-  EXPECT_EQ(cache.Lookup(9), nullptr);
-  EXPECT_NE(cache.Lookup(2), nullptr);  // 1 becomes the LRU victim
-  cache.Insert(9, Adj({9}));
-  EXPECT_NE(cache.Lookup(9), nullptr);  // admitted
-  EXPECT_EQ(cache.Lookup(1), nullptr);  // evicted
-  EXPECT_EQ(counters.cache_evictions.load(), 1u);
-}
-
-TEST(VertexCacheTest, TinyLfuRefreshOfResidentEntryIsNotADuel) {
-  EngineCounters counters;
-  VertexCache cache(2, &counters, CachePolicy::kTinyLFU);
-  cache.Insert(1, Adj({1}));
-  cache.Insert(2, Adj({2}));
-  // Re-inserting a resident vertex (a pull response refreshing an entry)
-  // just updates it -- never a rejection, never an eviction.
+  // A pull response for a resident vertex updates it in place and makes
+  // it most recently used; nothing is evicted.
   cache.Insert(1, Adj({1, 5}));
-  EXPECT_EQ(counters.cache_admit_rejects.load(), 0u);
   EXPECT_EQ(counters.cache_evictions.load(), 0u);
-  auto hit = cache.Lookup(1);
+  auto hit = cache.Lookup(1, /*count_stats=*/false);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, (std::vector<VertexId>{1, 5}));
-}
-
-TEST(VertexCacheTest, TinyLfuCapacityZeroDisablesCaching) {
-  EngineCounters counters;
-  VertexCache cache(0, &counters, CachePolicy::kTinyLFU);
-  cache.Insert(1, Adj({2}));
-  EXPECT_EQ(cache.Lookup(1), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 0u);
+  cache.Insert(3, Adj({3}));  // evicts 2, the least recently used
+  EXPECT_EQ(cache.Lookup(2, /*count_stats=*/false), nullptr);
+  EXPECT_NE(cache.Lookup(1, /*count_stats=*/false), nullptr);
 }
 
 TEST(VertexCacheTest, ShardedCacheStaysNearCapacity) {
@@ -395,7 +304,6 @@ Graph PlantedGraph() {
 
 struct MineOptions {
   size_t cache_capacity = 1 << 16;
-  CachePolicy policy = CachePolicy::kLRU;
   uint64_t latency_ticks = 0;
   double latency_sec = 0.0;
 };
@@ -412,7 +320,6 @@ std::vector<VertexSet> MineWith(const Graph& g, int machines,
   config.tau_time = 0.001;
   config.steal_period_sec = 0.005;
   config.vertex_cache_capacity = opts.cache_capacity;
-  config.cache_policy = opts.policy;
   config.net_latency_ticks = opts.latency_ticks;
   config.net_latency_sec = opts.latency_sec;
   ParallelMiner miner(config);
@@ -488,34 +395,6 @@ TEST(PullPathTest, WallLatencyDoesNotChangeResults) {
   // The modeled wire delay is observable in the delivery latencies.
   EXPECT_GT(report.counters.MeanDeliveryLatencySeconds(), 0.0004);
   EXPECT_EQ(report.counters.msg_drained, 0u);
-}
-
-TEST(PullPathTest, ClockPolicyMatchesDirectReadPath) {
-  Graph g = PlantedGraph();
-  auto direct = MineWith(g, 1, {});
-  ASSERT_FALSE(direct.empty());
-
-  EngineReport report;
-  auto clocked = MineWith(
-      g, 4, {.cache_capacity = 16, .policy = CachePolicy::kClock}, &report);
-  EXPECT_EQ(clocked, direct);
-  EXPECT_GT(report.counters.cache_hits, 0u);
-  EXPECT_GT(report.counters.cache_evictions, 0u);
-}
-
-TEST(PullPathTest, TinyLfuPolicyMatchesDirectReadPath) {
-  Graph g = PlantedGraph();
-  auto direct = MineWith(g, 1, {});
-  ASSERT_FALSE(direct.empty());
-
-  // A tiny cache under a multi-machine pull workload: the admission
-  // filter rejects and admits aggressively, results must not move.
-  EngineReport report;
-  auto filtered = MineWith(
-      g, 4, {.cache_capacity = 16, .policy = CachePolicy::kTinyLFU},
-      &report);
-  EXPECT_EQ(filtered, direct);
-  EXPECT_GT(report.counters.cache_hits, 0u);
 }
 
 }  // namespace

@@ -410,8 +410,6 @@ TEST(WireFrameTest, StatsSampleRoundTrip) {
 
 TEST(JobSpecTest, RoundTripPreservesEveryField) {
   ClusterJobSpec spec;
-  spec.gen_planted = "n=100,communities=2";
-  spec.seed = 77;
   spec.config.num_machines = 3;
   spec.config.threads_per_machine = 4;
   spec.config.tau_split = 55;
@@ -425,7 +423,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   spec.config.enable_stealing = false;
   spec.config.vertex_cache_capacity = 999;
   spec.config.max_pull_batch = 33;
-  spec.config.cache_policy = CachePolicy::kTinyLFU;
   spec.config.net_latency_ticks = 2;
   spec.config.net_latency_sec = 0.001;
   spec.config.net_coalesce_bytes = 1400;
@@ -455,9 +452,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
 
   ClusterJobSpec out;
   ASSERT_TRUE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
-  EXPECT_EQ(out.gen_planted, spec.gen_planted);
-  EXPECT_EQ(out.input, "");
-  EXPECT_EQ(out.seed, 77u);
   EXPECT_EQ(out.config.num_machines, 3);
   EXPECT_EQ(out.config.threads_per_machine, 4);
   EXPECT_EQ(out.config.tau_split, 55u);
@@ -471,7 +465,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   EXPECT_FALSE(out.config.enable_stealing);
   EXPECT_EQ(out.config.vertex_cache_capacity, 999u);
   EXPECT_EQ(out.config.max_pull_batch, 33u);
-  EXPECT_EQ(out.config.cache_policy, CachePolicy::kTinyLFU);
   EXPECT_EQ(out.config.net_latency_ticks, 2u);
   EXPECT_EQ(out.config.net_latency_sec, 0.001);
   EXPECT_EQ(out.config.net_coalesce_bytes, 1400);
@@ -503,10 +496,9 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
 
 // A worker checks the shipped k-core mask against the snapshot it maps
 // (UnpackVertexMask with the snapshot's vertex count) and fails loudly on
-// any other length; a mask without a snapshot never decodes.
+// any other length.
 TEST(JobSpecTest, RejectsKCoreMaskOfWrongLength) {
   ClusterJobSpec spec;
-  spec.input = "graph.txt";
   spec.config.graph_snapshot = "/tmp/graph.qcsr";
   spec.kcore_mask = PackVertexMask(std::vector<uint8_t>(100, 1));
   ClusterJobSpec out;
@@ -518,16 +510,20 @@ TEST(JobSpecTest, RejectsKCoreMaskOfWrongLength) {
               StatusCode::kInvalidArgument)
         << n;
   }
-
-  spec.config.graph_snapshot.clear();
-  EXPECT_EQ(DecodeJobSpec(EncodeJobSpec(spec), &out).code(),
-            StatusCode::kInvalidArgument);
 }
 
-TEST(JobSpecTest, RejectsAmbiguousGraphSource) {
-  ClusterJobSpec spec;  // neither input nor gen_planted
+// The mmap'd snapshot is a worker's only graph source: a spec that names
+// none never decodes, with or without a k-core mask.
+TEST(JobSpecTest, RejectsSpecWithoutSnapshot) {
+  ClusterJobSpec spec;
   ClusterJobSpec out;
-  EXPECT_FALSE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
+  EXPECT_EQ(DecodeJobSpec(EncodeJobSpec(spec), &out).code(),
+            StatusCode::kInvalidArgument);
+  spec.kcore_mask = PackVertexMask(std::vector<uint8_t>(100, 1));
+  EXPECT_EQ(DecodeJobSpec(EncodeJobSpec(spec), &out).code(),
+            StatusCode::kInvalidArgument);
+  spec.config.graph_snapshot = "/tmp/graph.qcsr";
+  EXPECT_TRUE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
 }
 
 TEST(EngineReportSerdeTest, RoundTripAndMerge) {

@@ -14,7 +14,7 @@
 //   qcm_cluster (--input PATH | --gen-planted SPEC) --workers N
 //               [--threads N] [--gamma F] [--min-size N] [--tau-split N]
 //               [--tau-time F] [--mode none|size|time]
-//               [--cache-capacity N] [--cache-policy lru|clock|tinylfu]
+//               [--cache-capacity N]
 //               [--pull-batch N] [--net-latency F] [--net-latency-ticks N]
 //               [--net-coalesce-bytes N] [--net-linger-usec N]
 //               [--prefetch] [--prefetch-limit N] [--steal-rtt-ref F]
@@ -25,20 +25,18 @@
 //               [--stats-json PATH] [--worker-bin PATH] [--log-dir DIR]
 //               [--trace-out PATH] [--trace-buffer-kb N]
 //               [--stats-interval-ms N] [--log-level L]
-//               [--snapshot PATH.qcsr] [--no-snapshot]
+//               [--snapshot PATH.qcsr]
 //               [--graph-memory-budget BYTES] [--graph-page-size BYTES]
 //
-// Graph distribution: by default the launcher packs the input into a
-// .qcsr snapshot ONCE (<log-dir>/graph.qcsr) and ships only the path;
-// workers mmap it and fault in just their partition's pages, so no rank
-// ever materializes the full graph. --snapshot reuses a qcm_pack output,
-// --no-snapshot restores the legacy per-rank rebuild, and
-// --graph-memory-budget caps each rank's resident adjacency bytes
-// (evicted pages refault on demand -- out-of-core mining). Before any
-// worker is forked the launcher verifies the whole snapshot and peels it
-// to the global k-core (paper §4 T1); the mask ships in the job spec and
-// ranks spawn, stage and pull only core vertices. A --no-snapshot rank
-// peels the graph it rebuilt.
+// Graph distribution: the launcher packs the input into a .qcsr snapshot
+// ONCE (<log-dir>/graph.qcsr) and ships only the path; workers mmap it
+// and fault in just their partition's pages, so no rank ever
+// materializes the full graph. --snapshot reuses a qcm_pack output
+// instead, and --graph-memory-budget caps each rank's resident adjacency
+// bytes (evicted pages refault on demand -- out-of-core mining). Before
+// any worker is forked the launcher verifies the whole snapshot and
+// peels it to the global k-core (paper §4 T1); the mask ships in the job
+// spec and ranks spawn, stage and pull only core vertices.
 //
 // --trace-out records one MERGED Chrome trace-event timeline of the whole
 // cluster (launcher recovery phases + every rank's spans + kStats counter
@@ -102,12 +100,15 @@ using namespace qcm;
 
 struct Args {
   ClusterJobSpec spec;
+  /// Exactly one graph source: a SNAP edge-list path or a planted-
+  /// community generator spec (seeded by `seed`). The launcher packs it.
+  std::string input;
+  std::string gen_planted;
+  uint64_t seed = 1;
   int workers = 3;
   std::string output;
   /// Pre-packed .qcsr to ship to workers (skips the launcher pack step).
   std::string snapshot;
-  /// Legacy bring-up: every rank re-parses / regenerates the full graph.
-  bool no_snapshot = false;
   bool no_filter = false;
   bool stats = false;
   std::string stats_json;
@@ -115,7 +116,6 @@ struct Args {
   std::string log_dir;
   std::string checkpoint_dir;
   int max_rank_restarts = 2;
-  std::string cache_policy = "lru";
   std::string mode = "time";
   /// --net-coalesce-bytes given without an explicit --net-linger-usec:
   /// the linger falls back to the classic ~100 us bound instead of
@@ -133,7 +133,7 @@ void Usage() {
                "[--checkpoint-interval F] [--checkpoint-dir DIR]\n"
                "                   [--max-rank-restarts N] "
                "[--worker-bin PATH] [--log-dir DIR]\n"
-               "                   [--snapshot PATH.qcsr] [--no-snapshot] "
+               "                   [--snapshot PATH.qcsr] "
                "[--graph-memory-budget BYTES]\n"
                "                   [--graph-page-size BYTES]\n");
 }
@@ -152,10 +152,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const char* v = nullptr;
     if (a == "--input") {
       if ((v = next("--input")) == nullptr) return false;
-      args->spec.input = v;
+      args->input = v;
     } else if (a == "--gen-planted") {
       if ((v = next("--gen-planted")) == nullptr) return false;
-      args->spec.gen_planted = v;
+      args->gen_planted = v;
     } else if (a == "--workers") {
       if ((v = next("--workers")) == nullptr) return false;
       args->workers = std::atoi(v);
@@ -190,9 +190,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--cache-capacity") {
       if ((v = next("--cache-capacity")) == nullptr) return false;
       config.vertex_cache_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--cache-policy") {
-      if ((v = next("--cache-policy")) == nullptr) return false;
-      args->cache_policy = v;
     } else if (a == "--pull-batch") {
       if ((v = next("--pull-batch")) == nullptr) return false;
       config.max_pull_batch = static_cast<size_t>(std::atoll(v));
@@ -270,8 +267,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--snapshot") {
       if ((v = next("--snapshot")) == nullptr) return false;
       args->snapshot = v;
-    } else if (a == "--no-snapshot") {
-      args->no_snapshot = true;
     } else if (a == "--graph-memory-budget") {
       if ((v = next("--graph-memory-budget")) == nullptr) return false;
       config.graph_memory_budget = std::atoll(v);
@@ -280,7 +275,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       config.graph_page_size = std::atoll(v);
     } else if (a == "--seed") {
       if ((v = next("--seed")) == nullptr) return false;
-      args->spec.seed = static_cast<uint64_t>(std::atoll(v));
+      args->seed = static_cast<uint64_t>(std::atoll(v));
     } else if (a == "--output") {
       if ((v = next("--output")) == nullptr) return false;
       args->output = v;
@@ -322,7 +317,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  if (args->spec.input.empty() == args->spec.gen_planted.empty()) {
+  if (args->input.empty() == args->gen_planted.empty()) {
     std::fprintf(stderr,
                  "exactly one of --input / --gen-planted is required\n");
     return false;
@@ -331,24 +326,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "--workers must be in [1, 64]\n");
     return false;
   }
-  Status policy = ParseCachePolicy(args->cache_policy,
-                                   &config.cache_policy);
-  if (!policy.ok()) {
-    std::fprintf(stderr, "--cache-policy: %s\n", policy.ToString().c_str());
-    return false;
-  }
   if (args->linger_defaulted && config.net_coalesce_bytes > 0) {
     config.net_linger_usec = 100;
-  }
-  if (!args->snapshot.empty() && args->no_snapshot) {
-    std::fprintf(stderr, "--snapshot and --no-snapshot are contradictory\n");
-    return false;
-  }
-  if (args->no_snapshot && config.graph_memory_budget > 0) {
-    std::fprintf(stderr,
-                 "--graph-memory-budget needs a snapshot-backed run; drop "
-                 "--no-snapshot\n");
-    return false;
   }
   // NOTE: config.Validate() runs in main() AFTER the launcher pack step
   // fills in config.graph_snapshot -- validating here would flag the
@@ -448,72 +427,64 @@ int main(int argc, char** argv) {
   // Pack the graph ONCE in the launcher and ship only the snapshot path:
   // workers mmap <log-dir>/graph.qcsr instead of each re-parsing /
   // regenerating and transiently materializing the full graph.
-  // --snapshot reuses a pre-packed file; --no-snapshot keeps the legacy
-  // per-rank rebuild path alive as a fallback.
+  // --snapshot reuses a pre-packed file.
   EngineConfig& config = args.spec.config;
-  // Set by the snapshot path's k-core peel; a --no-snapshot run peels
-  // on every rank instead (see the worker logs).
+  if (!args.snapshot.empty()) {
+    config.graph_snapshot = args.snapshot;
+  } else {
+    WallTimer pack_timer;
+    Graph full;
+    std::vector<uint64_t> original_ids;
+    CsrWriteOptions opts;
+    opts.page_size = static_cast<uint32_t>(config.graph_page_size);
+    if (!args.input.empty()) {
+      auto loaded = LoadEdgeList(args.input);
+      if (!loaded.ok()) {
+        std::fprintf(stderr, "graph load failed: %s\n",
+                     loaded.status().ToString().c_str());
+        return 1;
+      }
+      full = std::move(loaded->graph);
+      original_ids = std::move(loaded->original_ids);
+    } else {
+      auto parsed = ParsePlantedSpec(args.gen_planted, args.seed);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "bad planted spec: %s\n",
+                     parsed.status().ToString().c_str());
+        return 1;
+      }
+      auto generated = GenPlantedCommunities(parsed.value());
+      if (!generated.ok()) {
+        std::fprintf(stderr, "graph generation failed: %s\n",
+                     generated.status().ToString().c_str());
+        return 1;
+      }
+      full = std::move(generated).value();
+      opts.build_seed = args.seed;
+    }
+    config.graph_snapshot = log_dir + "/graph.qcsr";
+    Status packed =
+        WriteCsrSnapshot(full, original_ids, config.graph_snapshot, opts);
+    if (!packed.ok()) {
+      std::fprintf(stderr, "snapshot pack failed: %s\n",
+                   packed.ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr,
+                 "qcm_cluster: packed %s (%u vertices, %llu edges) in "
+                 "%.3f s\n",
+                 config.graph_snapshot.c_str(), full.NumVertices(),
+                 static_cast<unsigned long long>(full.NumEdges()),
+                 pack_timer.Seconds());
+    // `full` is dropped here -- the launcher, like the workers, does
+    // not hold a resident graph during the run.
+  }
+  // The launcher's mapping of the snapshot is scoped to the peel; it is
+  // unmapped before the workers start.
   uint64_t kcore_vertices = 0;
   uint32_t num_vertices = 0;
   double kcore_seconds = 0;
-  if (!args.no_snapshot) {
-    if (!args.snapshot.empty()) {
-      config.graph_snapshot = args.snapshot;
-    } else {
-      WallTimer pack_timer;
-      Graph full;
-      if (!args.spec.input.empty()) {
-        auto loaded = LoadEdgeList(args.spec.input);
-        if (!loaded.ok()) {
-          std::fprintf(stderr, "graph load failed: %s\n",
-                       loaded.status().ToString().c_str());
-          return 1;
-        }
-        full = std::move(loaded->graph);
-        CsrWriteOptions opts;
-        opts.page_size = static_cast<uint32_t>(config.graph_page_size);
-        Status packed = WriteCsrSnapshot(full, loaded->original_ids,
-                                         log_dir + "/graph.qcsr", opts);
-        if (!packed.ok()) {
-          std::fprintf(stderr, "snapshot pack failed: %s\n",
-                       packed.ToString().c_str());
-          return 1;
-        }
-      } else {
-        auto parsed = ParsePlantedSpec(args.spec.gen_planted, args.spec.seed);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "bad planted spec: %s\n",
-                       parsed.status().ToString().c_str());
-          return 1;
-        }
-        auto generated = GenPlantedCommunities(parsed.value());
-        if (!generated.ok()) {
-          std::fprintf(stderr, "graph generation failed: %s\n",
-                       generated.status().ToString().c_str());
-          return 1;
-        }
-        full = std::move(generated).value();
-        CsrWriteOptions opts;
-        opts.page_size = static_cast<uint32_t>(config.graph_page_size);
-        opts.build_seed = args.spec.seed;
-        Status packed = WriteCsrSnapshot(full, {}, log_dir + "/graph.qcsr",
-                                         opts);
-        if (!packed.ok()) {
-          std::fprintf(stderr, "snapshot pack failed: %s\n",
-                       packed.ToString().c_str());
-          return 1;
-        }
-      }
-      config.graph_snapshot = log_dir + "/graph.qcsr";
-      std::fprintf(stderr,
-                   "qcm_cluster: packed %s (%u vertices, %llu edges) in "
-                   "%.3f s\n",
-                   config.graph_snapshot.c_str(), full.NumVertices(),
-                   static_cast<unsigned long long>(full.NumEdges()),
-                   pack_timer.Seconds());
-      // `full` is dropped here -- the launcher, like the workers, does
-      // not hold a resident graph during the run.
-    }
+  {
     // Verify the whole snapshot once, here, before any worker is forked:
     // the k-core peel below reads every adjacency page anyway, so the
     // adjacency checksum costs little on top, and the ranks then only
@@ -1003,11 +974,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (args.stats) {
-    if (!args.no_snapshot) {
-      std::fprintf(stderr, "k-core: %llu of %u vertices (k=%u), %.3f s\n",
-                   static_cast<unsigned long long>(kcore_vertices),
-                   num_vertices, config.mining.MinDegreeK(), kcore_seconds);
-    }
+    std::fprintf(stderr, "k-core: %llu of %u vertices (k=%u), %.3f s\n",
+                 static_cast<unsigned long long>(kcore_vertices),
+                 num_vertices, config.mining.MinDegreeK(), kcore_seconds);
     std::fprintf(
         stderr,
         "cluster: %d workers, %llu tasks, %llu stolen (%llu steal "

@@ -24,8 +24,6 @@
 //   --mode M              none | size | time                (default time)
 //   --cache-capacity N    per-machine vertex-cache entries; 0 disables
 //                         caching                           (default 65536)
-//   --cache-policy P      eviction policy: lru | clock | tinylfu
-//                                                           (default lru)
 //   --pull-batch N        max vertex ids per batched pull   (default 2048)
 //   --net-latency F       modeled delivery delay in seconds applied to
 //                         every cross-machine message       (default 0)
@@ -103,7 +101,6 @@ struct Args {
   double tau_time = 0.01;
   std::string mode = "time";
   size_t cache_capacity = 1 << 16;
-  std::string cache_policy = "lru";
   size_t pull_batch = 2048;
   double net_latency_sec = 0.0;
   uint64_t net_latency_ticks = 0;
@@ -190,10 +187,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next("--cache-capacity");
       if (!v) return false;
       args->cache_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--cache-policy") {
-      const char* v = next("--cache-policy");
-      if (!v) return false;
-      args->cache_policy = v;
     } else if (a == "--net-latency") {
       const char* v = next("--net-latency");
       if (!v) return false;
@@ -457,12 +450,6 @@ int main(int argc, char** argv) {
     config.trace_out = args.trace_out;
     config.trace_buffer_kb = args.trace_buffer_kb;
     config.stats_interval_ms = args.stats_interval_ms;
-    Status policy = ParseCachePolicy(args.cache_policy, &config.cache_policy);
-    if (!policy.ok()) {
-      std::fprintf(stderr, "--cache-policy: %s\n",
-                   policy.ToString().c_str());
-      return 2;
-    }
     if (args.mode == "none") {
       config.mode = DecomposeMode::kNone;
     } else if (args.mode == "size") {
@@ -496,7 +483,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "engine: %lu tasks (%lu big/%lu small), spill %lu "
                    "tasks/%s, steals %lu, cache %lu/%lu (%.1f%% hit), busy "
-                   "max/min %.2f, peak RSS %s\n",
+                   "imbalance %.2f, peak RSS %s\n",
                    static_cast<unsigned long>(r.counters.tasks_completed),
                    static_cast<unsigned long>(r.counters.big_tasks),
                    static_cast<unsigned long>(r.counters.small_tasks),

@@ -2,23 +2,19 @@
 //
 // Spawned by qcm_cluster (one process per machine), it connects to the
 // coordinator, receives its rank and the job spec over the wire
-// handshake, maps the launcher's snapshot (or rebuilds the input graph
-// deterministically), keeps ONLY its own hash partition (plus replicated
-// degree metadata) in its VertexTable, masked to the global k-core, and
-// runs the G-thinker engine over the TCP-backed
-// CommFabric: vertex pulls and stolen big-task batches are the same typed
-// messages as in simulated mode, but they cross process boundaries as
-// length-prefixed kData frames. Termination arrives from the
-// coordinator's distributed detection; the final EngineReport and raw
-// candidate results ship back as the kReport payload.
+// handshake, mmaps the launcher's .qcsr snapshot, serves ONLY its own
+// hash partition's adjacency (plus every vertex's degree) from it through
+// its VertexTable, masked to the global k-core, and runs the G-thinker
+// engine over the TCP-backed CommFabric: vertex pulls and stolen big-task
+// batches are the same typed messages as in simulated mode, but they
+// cross process boundaries as length-prefixed kData frames. Termination
+// arrives from the coordinator's distributed detection; the final
+// EngineReport and raw candidate results ship back as the kReport
+// payload.
 //
 // Usage (normally via qcm_cluster):
 //   qcm_worker --coordinator-port P [--coordinator-host H]
-//              [--stats-json PATH] [--dense-threshold N]
-//
-// --dense-threshold overrides the job spec's mining.dense_threshold on
-// this rank only -- safe because the dense and sparse kernels emit
-// bit-identical results, so a mixed-mode cluster still digests clean.
+//              [--stats-json PATH] [--log-level L]
 //
 // Exit status: 0 only for a clean run (connected, mined, reported);
 // anything else is a loud failure the launcher must surface.
@@ -36,8 +32,6 @@
 #include <vector>
 
 #include "graph/csr_snapshot.h"
-#include "graph/edge_io.h"
-#include "graph/generators.h"
 #include "graph/kcore.h"
 #include "gthinker/engine.h"
 #include "mining/qc_app.h"
@@ -77,7 +71,6 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   int port = 0;
   std::string stats_json;
-  long long dense_threshold_override = -1;  // -1 = keep the job spec value
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--coordinator-port" && i + 1 < argc) {
@@ -94,19 +87,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       SetLogLevel(level);
-    } else if (a == "--dense-threshold" && i + 1 < argc) {
-      dense_threshold_override = std::atoll(argv[++i]);
-      if (dense_threshold_override < 0) {
-        std::fprintf(stderr,
-                     "qcm_worker: --dense-threshold must be >= 0 (0 "
-                     "disables the dense bitset kernels)\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: qcm_worker --coordinator-port P "
                    "[--coordinator-host H] [--stats-json PATH] "
-                   "[--log-level L] [--dense-threshold N]\n");
+                   "[--log-level L]\n");
       return 2;
     }
   }
@@ -136,9 +121,6 @@ int main(int argc, char** argv) {
   if (spec.config.num_machines != transport->world_size()) {
     return Fail(transport.get(), "job spec world size mismatch");
   }
-  if (dense_threshold_override >= 0) {
-    spec.config.mining.dense_threshold = dense_threshold_override;
-  }
   SetLogContext(rank, transport->epoch());
   // Tracing rides the job spec: every rank writes its own fragment file
   // beside the launcher's --trace-out path; qcm_cluster merges them into
@@ -153,96 +135,47 @@ int main(int argc, char** argv) {
     trace::SetThreadName("worker_main");
   }
 
-  // Graph load. Preferred path: mmap the launcher-packed .qcsr snapshot
-  // (metadata checksums verified, adjacency pages faulted lazily) --
-  // startup never materializes the full graph in this process. Legacy
-  // fallback: rebuild deterministically from the edge list / planted
-  // spec, then keep only this rank's partition. Either way the table is
-  // masked to the global k-core (paper §4 T1) before the engine spawns:
-  // the launcher peeled the snapshot and shipped the mask in the spec; a
-  // rebuilding rank peels the graph it just built.
-  const uint32_t k = spec.config.mining.MinDegreeK();
-  std::unique_ptr<VertexTable> table;
-  std::vector<uint8_t> alive;
-  std::string kcore_origin;
+  // Graph load: mmap the launcher-packed .qcsr snapshot (metadata
+  // checksums verified, adjacency pages faulted lazily) -- startup never
+  // materializes the full graph in this process. The table is masked to
+  // the global k-core (paper §4 T1) the launcher peeled and shipped in
+  // the spec before the engine spawns.
   WallTimer graph_timer;
-  if (!spec.config.graph_snapshot.empty()) {
-    auto snap = CsrSnapshot::Open(spec.config.graph_snapshot);
-    if (!snap.ok()) {
-      return Fail(transport.get(),
-                  "snapshot open failed: " + snap.status().ToString());
-    }
-    Status mask = UnpackVertexMask(spec.kcore_mask, (*snap)->NumVertices(),
-                                   &alive);
-    if (!mask.ok()) {
-      return Fail(transport.get(),
-                  "bad k-core mask in job spec: " + mask.ToString());
-    }
-    kcore_origin = "peeled by the launcher";
-    table = std::make_unique<VertexTable>(
-        std::move(snap).value(), transport->world_size(), rank,
-        static_cast<uint64_t>(spec.config.graph_memory_budget));
-    const PagedAdjacencyStore* store = table->paged_store();
-    std::fprintf(
-        stderr,
-        "qcm_worker rank %d/%d epoch %u: snapshot %s, %u vertices "
-        "total, %zu owned, mapped %s vs resident %s%s%s\n",
-        rank, transport->world_size(), transport->epoch(),
-        spec.config.graph_snapshot.c_str(), table->NumVertices(),
-        table->OwnedVertices(rank).size(),
-        HumanBytes(table->snapshot()->MappedBytes()).c_str(),
-        HumanBytes(CurrentRssBytes()).c_str(),
-        store != nullptr && store->paging_enabled()
-            ? (", adjacency budget " + HumanBytes(store->budget_bytes()))
-                  .c_str()
-            : "",
-        transport->epoch() > 0 ? " (replacement; replaying checkpoint)"
-                               : "");
-  } else {
-    Graph full;
-    if (!spec.input.empty()) {
-      auto loaded = LoadEdgeList(spec.input);
-      if (!loaded.ok()) {
-        return Fail(transport.get(),
-                    "graph load failed: " + loaded.status().ToString());
-      }
-      full = std::move(loaded->graph);
-    } else {
-      auto parsed = ParsePlantedSpec(spec.gen_planted, spec.seed);
-      if (!parsed.ok()) {
-        return Fail(transport.get(),
-                    "bad planted spec: " + parsed.status().ToString());
-      }
-      auto generated = GenPlantedCommunities(parsed.value());
-      if (!generated.ok()) {
-        return Fail(transport.get(),
-                    "graph generation failed: " +
-                        generated.status().ToString());
-      }
-      full = std::move(generated).value();
-    }
-    WallTimer kcore_timer;
-    alive = KCoreMask(full, k);
-    char seconds[32];
-    std::snprintf(seconds, sizeof(seconds), "%.3f s", kcore_timer.Seconds());
-    kcore_origin = seconds;
-    table = std::make_unique<VertexTable>(full, transport->world_size(),
-                                          rank);
-    std::fprintf(stderr,
-                 "qcm_worker rank %d/%d epoch %u: %u vertices total, "
-                 "%zu owned%s\n",
-                 rank, transport->world_size(), transport->epoch(),
-                 table->NumVertices(),
-                 table->OwnedVertices(rank).size(),
-                 transport->epoch() > 0
-                     ? " (replacement; replaying checkpoint)"
-                     : "");
+  auto snap = CsrSnapshot::Open(spec.config.graph_snapshot);
+  if (!snap.ok()) {
+    return Fail(transport.get(),
+                "snapshot open failed: " + snap.status().ToString());
   }
+  std::vector<uint8_t> alive;
+  Status mask =
+      UnpackVertexMask(spec.kcore_mask, (*snap)->NumVertices(), &alive);
+  if (!mask.ok()) {
+    return Fail(transport.get(),
+                "bad k-core mask in job spec: " + mask.ToString());
+  }
+  auto table = std::make_unique<VertexTable>(
+      std::move(snap).value(), transport->world_size(), rank,
+      static_cast<uint64_t>(spec.config.graph_memory_budget));
+  const PagedAdjacencyStore* store = table->paged_store();
+  std::fprintf(
+      stderr,
+      "qcm_worker rank %d/%d epoch %u: snapshot %s, %u vertices "
+      "total, %zu owned, mapped %s vs resident %s%s%s\n",
+      rank, transport->world_size(), transport->epoch(),
+      spec.config.graph_snapshot.c_str(), table->NumVertices(),
+      table->OwnedVertices(rank).size(),
+      HumanBytes(table->snapshot()->MappedBytes()).c_str(),
+      HumanBytes(CurrentRssBytes()).c_str(),
+      store->paging_enabled()
+          ? (", adjacency budget " + HumanBytes(store->budget_bytes()))
+                .c_str()
+          : "",
+      transport->epoch() > 0 ? " (replacement; replaying checkpoint)" : "");
   std::fprintf(stderr,
                "qcm_worker rank %d: k-core: %llu of %u vertices (k=%u), "
-               "%s\n",
+               "peeled by the launcher\n",
                rank, static_cast<unsigned long long>(CountAlive(alive)),
-               table->NumVertices(), k, kcore_origin.c_str());
+               table->NumVertices(), spec.config.mining.MinDegreeK());
   table->SetAliveMask(std::move(alive));
   std::fprintf(stderr, "qcm_worker rank %d: graph ready in %.3f s\n", rank,
                graph_timer.Seconds());
