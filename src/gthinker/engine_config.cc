@@ -1,5 +1,11 @@
 #include "gthinker/engine_config.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <type_traits>
+
 #include "graph/csr_snapshot.h"
 #include "net/wire.h"
 #include "util/serde.h"
@@ -150,118 +156,301 @@ Status EngineConfig::Validate() const {
 
 #undef QCM_CONFIG_ERROR
 
-void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
-  enc->PutU32(static_cast<uint32_t>(config.num_machines));
-  enc->PutU32(static_cast<uint32_t>(config.threads_per_machine));
-  enc->PutU32(config.tau_split);
-  enc->PutDouble(config.tau_time);
-  enc->PutU8(static_cast<uint8_t>(config.mode));
-  enc->PutU64(config.local_queue_capacity);
-  enc->PutU64(config.global_queue_capacity);
-  enc->PutU64(config.batch_size);
-  enc->PutString(config.spill_dir);
-  enc->PutDouble(config.steal_period_sec);
-  enc->PutU8(config.enable_stealing ? 1 : 0);
-  enc->PutU64(config.vertex_cache_capacity);
-  enc->PutU64(config.max_pull_batch);
-  enc->PutU64(config.net_latency_ticks);
-  enc->PutDouble(config.net_latency_sec);
-  enc->PutI64(config.net_coalesce_bytes);
-  enc->PutI64(config.net_linger_usec);
-  enc->PutU8(config.spawn_prefetch ? 1 : 0);
-  enc->PutU64(config.prefetch_limit);
-  enc->PutDouble(config.steal_rtt_reference_sec);
-  enc->PutU64(config.steal_max_batch_factor);
-  enc->PutU8(config.record_task_log ? 1 : 0);
-  enc->PutString(config.checkpoint_dir);
-  enc->PutDouble(config.checkpoint_interval_sec);
-  enc->PutI64(config.heartbeat_usec);
-  enc->PutDouble(config.mining.gamma);
-  enc->PutU32(config.mining.min_size);
-  enc->PutU8(config.mining.use_cover_vertex ? 1 : 0);
-  enc->PutU8(config.mining.use_critical_vertex ? 1 : 0);
-  enc->PutU8(config.mining.use_upper_bound ? 1 : 0);
-  enc->PutU8(config.mining.use_lower_bound ? 1 : 0);
-  enc->PutU8(config.mining.use_degree_pruning ? 1 : 0);
-  enc->PutU8(config.mining.use_lookahead ? 1 : 0);
-  enc->PutU8(config.mining.quick_compat ? 1 : 0);
-  enc->PutI64(config.mining.dense_threshold);
-  enc->PutString(config.trace_out);
-  enc->PutI64(config.trace_buffer_kb);
-  enc->PutI64(config.stats_interval_ms);
-  enc->PutString(config.graph_snapshot);
-  enc->PutI64(config.graph_page_size);
-  enc->PutI64(config.graph_memory_budget);
+static_assert(std::is_same_v<size_t, uint64_t>,
+              "size_t knobs are shipped and parsed as uint64_t");
+
+constexpr unsigned kMineAndCluster = kQcmMine | kQcmCluster;
+
+// One row per field: its path, flag, value placeholder, tools and help.
+#define QCM_KNOB(field, flag, metavar, tools, help)                    \
+  EngineKnob {                                                         \
+    #field, flag, metavar, tools, help,                                \
+        [](EngineConfig* c) -> OptionRef { return &c->field; }         \
+  }
+
+const std::vector<EngineKnob>& EngineKnobs() {
+  static const std::vector<EngineKnob> kKnobs = {
+      QCM_KNOB(num_machines, "--machines", "N", kQcmMine | kTauSweep,
+               "simulated machines"),
+      QCM_KNOB(threads_per_machine, "--threads", "N",
+               kMineAndCluster | kTauSweep, "mining threads per machine"),
+      QCM_KNOB(tau_split, "--tau-split", "N", kMineAndCluster,
+               "tau_split: |ext(S)| above which a task is big"),
+      QCM_KNOB(tau_time, "--tau-time", "F", kMineAndCluster,
+               "tau_time: seconds of mining before time-delayed splitting"),
+      QCM_KNOB(mode, "--mode", "none|size|time", kMineAndCluster,
+               "task decomposition: none, size threshold or time-delayed"),
+      QCM_KNOB(local_queue_capacity, nullptr, nullptr, 0,
+               "tasks held in memory per thread-local queue"),
+      QCM_KNOB(global_queue_capacity, nullptr, nullptr, 0,
+               "tasks held in memory per machine's global queue"),
+      QCM_KNOB(batch_size, nullptr, nullptr, 0,
+               "batch size C for spilling, refilling, spawning, stealing"),
+      QCM_KNOB(spill_dir, nullptr, nullptr, 0,
+               "spill file directory; empty = a removed temp dir"),
+      QCM_KNOB(steal_period_sec, nullptr, nullptr, 0,
+               "load-balancing period in seconds"),
+      QCM_KNOB(enable_stealing, nullptr, nullptr, 0,
+               "balance big tasks across machines"),
+      QCM_KNOB(vertex_cache_capacity, "--cache-capacity", "N",
+               kMineAndCluster,
+               "per-machine vertex-cache entries; 0 disables the cache"),
+      QCM_KNOB(max_pull_batch, "--pull-batch", "N", kMineAndCluster,
+               "max vertex ids per batched pull message"),
+      QCM_KNOB(net_latency_ticks, "--net-latency-ticks", "N",
+               kMineAndCluster | kTauSweep,
+               "delivery delay of every message, in service ticks"),
+      QCM_KNOB(net_latency_sec, "--net-latency", "F",
+               kMineAndCluster | kTauSweep,
+               "modeled delivery delay of every message, in seconds"),
+      QCM_KNOB(net_coalesce_bytes, "--net-coalesce-bytes", "N", kQcmCluster,
+               "per-peer send buffer bytes; needs --net-linger-usec"),
+      QCM_KNOB(net_linger_usec, "--net-linger-usec", "N", kQcmCluster,
+               "max wait of a parked frame; needs --net-coalesce-bytes"),
+      QCM_KNOB(spawn_prefetch, "--prefetch", nullptr, kMineAndCluster,
+               "pull a spawned task's first-round vertices early"),
+      QCM_KNOB(prefetch_limit, "--prefetch-limit", "N", kMineAndCluster,
+               "max tasks in the prefetch stage per machine"),
+      QCM_KNOB(steal_rtt_reference_sec, "--steal-rtt-ref", "F",
+               kMineAndCluster,
+               "link RTT in seconds worth one extra steal batch per move"),
+      QCM_KNOB(steal_max_batch_factor, "--steal-batch-factor", "N",
+               kMineAndCluster,
+               "a steal move carries at most batch size C x N tasks"),
+      QCM_KNOB(record_task_log, nullptr, nullptr, 0,
+               "record per-root task aggregates for the figure benches"),
+      QCM_KNOB(checkpoint_dir, "--checkpoint-dir", "DIR", kQcmCluster,
+               "root of the per-rank progress logs (default: a temp dir)"),
+      QCM_KNOB(checkpoint_interval_sec, "--checkpoint-interval", "F",
+               kQcmCluster, "seconds between progress-log flushes"),
+      QCM_KNOB(heartbeat_usec, "--heartbeat-usec", "N", kQcmCluster,
+               "worker liveness beacon period in us; 0 = none"),
+      QCM_KNOB(mining.gamma, "--gamma", "F", kMineAndCluster,
+               "minimum degree ratio gamma, in [0.5, 1]"),
+      QCM_KNOB(mining.min_size, "--min-size", "N", kMineAndCluster,
+               "minimum result size tau_size"),
+      QCM_KNOB(mining.use_cover_vertex, nullptr, nullptr, 0,
+               "(P7) cover-vertex pruning"),
+      QCM_KNOB(mining.use_critical_vertex, nullptr, nullptr, 0,
+               "(P6) critical-vertex expansion"),
+      QCM_KNOB(mining.use_upper_bound, nullptr, nullptr, 0,
+               "(P4) upper-bound rules"),
+      QCM_KNOB(mining.use_lower_bound, nullptr, nullptr, 0,
+               "(P5) lower-bound rules"),
+      QCM_KNOB(mining.use_degree_pruning, nullptr, nullptr, 0,
+               "(P3) degree-based rules"),
+      QCM_KNOB(mining.use_lookahead, nullptr, nullptr, 0,
+               "lookahead: emit S + ext(S) when it qualifies"),
+      QCM_KNOB(mining.quick_compat, nullptr, nullptr, 0,
+               "reproduce the original Quick's missed checks"),
+      QCM_KNOB(mining.dense_threshold, "--dense-threshold", "N",
+               kMineAndCluster,
+               "subgraphs of <= N vertices use bitset kernels; 0 = never"),
+      QCM_KNOB(trace_out, "--trace-out", "PATH", kMineAndCluster,
+               "write a Chrome trace-event timeline of the run"),
+      QCM_KNOB(trace_buffer_kb, "--trace-buffer-kb", "N", kMineAndCluster,
+               "per-thread trace ring size in KiB"),
+      QCM_KNOB(stats_interval_ms, "--stats-interval-ms", "N",
+               kMineAndCluster, "telemetry sampling period in ms; 0 = off"),
+      QCM_KNOB(graph_snapshot, "--snapshot", "PATH", kQcmCluster,
+               "ship this qcm_pack .qcsr instead of packing a source"),
+      QCM_KNOB(graph_page_size, "--graph-page-size", "BYTES", kQcmCluster,
+               "page size of the packed snapshot; power of two >= 4096"),
+      QCM_KNOB(graph_memory_budget, "--graph-memory-budget", "BYTES",
+               kQcmCluster, "per-rank resident adjacency bytes; 0 = all"),
+  };
+  return kKnobs;
 }
 
-Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
-  uint32_t u32 = 0;
-  uint64_t u64 = 0;
+#undef QCM_KNOB
+
+namespace {
+
+void Put(bool v, Encoder* enc) { enc->PutU8(v ? 1 : 0); }
+void Put(int v, Encoder* enc) { enc->PutU32(static_cast<uint32_t>(v)); }
+void Put(uint32_t v, Encoder* enc) { enc->PutU32(v); }
+void Put(uint64_t v, Encoder* enc) { enc->PutU64(v); }
+void Put(int64_t v, Encoder* enc) { enc->PutI64(v); }
+void Put(double v, Encoder* enc) { enc->PutDouble(v); }
+void Put(const std::string& v, Encoder* enc) { enc->PutString(v); }
+void Put(DecomposeMode v, Encoder* enc) {
+  enc->PutU8(static_cast<uint8_t>(v));
+}
+
+Status Get(Decoder* dec, bool* v) {
   uint8_t u8 = 0;
+  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
+  *v = u8 != 0;
+  return Status::OK();
+}
+Status Get(Decoder* dec, int* v) {
+  uint32_t u32 = 0;
   QCM_RETURN_IF_ERROR(dec->GetU32(&u32));
-  config->num_machines = static_cast<int>(u32);
-  QCM_RETURN_IF_ERROR(dec->GetU32(&u32));
-  config->threads_per_machine = static_cast<int>(u32);
-  QCM_RETURN_IF_ERROR(dec->GetU32(&config->tau_split));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&config->tau_time));
+  *v = static_cast<int>(u32);
+  return Status::OK();
+}
+Status Get(Decoder* dec, uint32_t* v) { return dec->GetU32(v); }
+Status Get(Decoder* dec, uint64_t* v) { return dec->GetU64(v); }
+Status Get(Decoder* dec, int64_t* v) { return dec->GetI64(v); }
+Status Get(Decoder* dec, double* v) { return dec->GetDouble(v); }
+Status Get(Decoder* dec, std::string* v) { return dec->GetString(v); }
+Status Get(Decoder* dec, DecomposeMode* v) {
+  uint8_t u8 = 0;
   QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
   if (u8 > static_cast<uint8_t>(DecomposeMode::kTimeDelayed)) {
     return Status::Corruption("bad decompose mode tag");
   }
-  config->mode = static_cast<DecomposeMode>(u8);
-  QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
-  config->local_queue_capacity = u64;
-  QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
-  config->global_queue_capacity = u64;
-  QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
-  config->batch_size = u64;
-  QCM_RETURN_IF_ERROR(dec->GetString(&config->spill_dir));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&config->steal_period_sec));
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->enable_stealing = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
-  config->vertex_cache_capacity = u64;
-  QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
-  config->max_pull_batch = u64;
-  QCM_RETURN_IF_ERROR(dec->GetU64(&config->net_latency_ticks));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&config->net_latency_sec));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_coalesce_bytes));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_linger_usec));
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->spawn_prefetch = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
-  config->prefetch_limit = u64;
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&config->steal_rtt_reference_sec));
-  QCM_RETURN_IF_ERROR(dec->GetU64(&config->steal_max_batch_factor));
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->record_task_log = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetString(&config->checkpoint_dir));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&config->checkpoint_interval_sec));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->heartbeat_usec));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&config->mining.gamma));
-  QCM_RETURN_IF_ERROR(dec->GetU32(&config->mining.min_size));
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->mining.use_cover_vertex = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->mining.use_critical_vertex = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->mining.use_upper_bound = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->mining.use_lower_bound = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->mining.use_degree_pruning = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->mining.use_lookahead = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->mining.quick_compat = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->mining.dense_threshold));
-  QCM_RETURN_IF_ERROR(dec->GetString(&config->trace_out));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->trace_buffer_kb));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->stats_interval_ms));
-  QCM_RETURN_IF_ERROR(dec->GetString(&config->graph_snapshot));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->graph_page_size));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->graph_memory_budget));
+  *v = static_cast<DecomposeMode>(u8);
   return Status::OK();
+}
+
+// The --mode spellings, indexed by DecomposeMode.
+constexpr const char* kModeNames[] = {"none", "size", "time"};
+
+template <typename T>
+Status ParseNumber(const std::string& text, T* out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    std::string expected;
+    if constexpr (std::is_floating_point_v<T>) {
+      expected = "a finite number";
+    } else {
+      expected = std::string("an integer in [") +
+                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                 std::to_string(std::numeric_limits<T>::max()) + "]";
+    }
+    return Status::InvalidArgument("'" + text + "' is not " + expected);
+  }
+  *out = v;
+  return Status::OK();
+}
+
+}  // namespace
+
+void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
+  // The accessors only form pointers; nothing here writes through them.
+  EngineConfig* fields = const_cast<EngineConfig*>(&config);
+  for (const EngineKnob& knob : EngineKnobs()) {
+    std::visit([enc](auto* v) { Put(*v, enc); }, knob.field(fields));
+  }
+}
+
+Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
+  for (const EngineKnob& knob : EngineKnobs()) {
+    QCM_RETURN_IF_ERROR(std::visit([dec](auto* v) { return Get(dec, v); },
+                                   knob.field(config)));
+  }
+  return Status::OK();
+}
+
+std::vector<Flag> EngineFlags(KnobTool tool, EngineConfig* config) {
+  std::vector<Flag> flags;
+  for (const EngineKnob& knob : EngineKnobs()) {
+    if ((knob.tools & tool) != 0) {
+      flags.push_back({knob.flag, knob.metavar, knob.help, knob.field(config)});
+    }
+  }
+  return flags;
+}
+
+Status ParseOptionValue(const std::string& text, OptionRef value) {
+  return std::visit(
+      [&text](auto* v) -> Status {
+        using T = std::remove_pointer_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          return Status::InvalidArgument("a switch takes no value");
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          *v = text;
+          return Status::OK();
+        } else if constexpr (std::is_same_v<T, DecomposeMode>) {
+          for (size_t m = 0; m < std::size(kModeNames); ++m) {
+            if (text == kModeNames[m]) {
+              *v = static_cast<DecomposeMode>(m);
+              return Status::OK();
+            }
+          }
+          return Status::InvalidArgument("'" + text +
+                                         "' is not one of none, size, time");
+        } else {
+          return ParseNumber(text, v);
+        }
+      },
+      value);
+}
+
+std::string FormatOptionValue(OptionRef value) {
+  return std::visit(
+      [](auto* v) -> std::string {
+        using T = std::remove_pointer_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return *v;
+        } else if constexpr (std::is_same_v<T, DecomposeMode>) {
+          return kModeNames[static_cast<int>(*v)];
+        } else if constexpr (std::is_same_v<T, bool>) {
+          return *v ? "on" : "off";
+        } else {
+          char buf[64];
+          const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), *v);
+          return std::string(buf, end);
+        }
+      },
+      value);
+}
+
+std::string FlagHelp(const char* synopsis, const std::vector<Flag>& flags) {
+  std::string out = std::string("usage: ") + synopsis + "\n\nflags:\n";
+  for (const Flag& flag : flags) {
+    std::string head = std::string("  ") + flag.name;
+    if (flag.metavar != nullptr) head += std::string(" ") + flag.metavar;
+    if (head.size() < 30) head.resize(30, ' ');
+    out += head + " " + flag.help;
+    const std::string current = FormatOptionValue(flag.value);
+    if (flag.metavar != nullptr && !current.empty()) {
+      out += " (default " + current + ")";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+int UsageError(const char* synopsis, const std::string& message) {
+  std::fprintf(stderr, "%s\nusage: %s\n(--help lists every flag)\n",
+               message.c_str(), synopsis);
+  return 2;
+}
+
+std::optional<int> ParseFlags(const char* synopsis,
+                              const std::vector<Flag>& flags, int argc,
+                              char** argv) {
+  // Rendered before parsing, so --help shows the tool's defaults.
+  const std::string help = FlagHelp(synopsis, flags);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(help.c_str(), stdout);
+      return 0;
+    }
+    const Flag* flag = nullptr;
+    for (const Flag& f : flags) {
+      if (arg == f.name) flag = &f;
+    }
+    if (flag == nullptr) return UsageError(synopsis, "unknown flag: " + arg);
+    if (flag->metavar == nullptr) {
+      *std::get<bool*>(flag->value) = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      return UsageError(synopsis, arg + " requires a value");
+    }
+    if (Status s = ParseOptionValue(argv[++i], flag->value); !s.ok()) {
+      return UsageError(synopsis, "bad " + arg + ": " + s.message());
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace qcm

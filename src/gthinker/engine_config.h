@@ -11,7 +11,10 @@
 #define QCM_GTHINKER_ENGINE_CONFIG_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "quick/quasi_clique.h"
 #include "util/status.h"
@@ -181,14 +184,79 @@ struct EngineConfig {
   Status Validate() const;
 };
 
+/// A typed pointer to one setting: an EngineConfig field or a tool's own
+/// option. The pointee type decides how a flag value parses, how --help
+/// prints it and how the wire codec encodes it.
+using OptionRef = std::variant<bool*, int*, uint32_t*, uint64_t*, int64_t*,
+                               double*, std::string*, DecomposeMode*>;
+
+/// The command-line tools that accept a knob's flag (bit mask).
+enum KnobTool : unsigned {
+  kQcmMine = 1u << 0,
+  kQcmCluster = 1u << 1,
+  kTauSweep = 1u << 2,
+};
+
+/// One row of the knob table: one EngineConfig field.
+struct EngineKnob {
+  /// Field path, e.g. "tau_split" or "mining.gamma".
+  const char* name;
+  /// Command-line flag; nullptr for a field that is only shipped.
+  const char* flag;
+  /// Value placeholder in --help; nullptr for a switch (a bool flag).
+  const char* metavar;
+  /// KnobTool mask of the tools whose command line carries `flag`.
+  unsigned tools;
+  const char* help;
+  OptionRef (*field)(EngineConfig* config);
+};
+
+/// Every EngineConfig field exactly once, in wire order. It drives the
+/// engine flags of qcm_mine, qcm_cluster and tau_sweep, their --help, and
+/// the wire codec below.
+const std::vector<EngineKnob>& EngineKnobs();
+
 class Encoder;
 class Decoder;
 
-/// Serializes every engine knob (including the nested MiningOptions) so a
-/// cluster coordinator can ship one run configuration to every worker
-/// process. Round-trips exactly; pinned by tests/wire_serde_test.cc.
+/// Serializes every knob of the table, in table order, so a cluster
+/// coordinator can ship one run configuration to every worker process.
+/// Round-trips exactly; the bytes are pinned by tests/wire_serde_test.cc.
 void EncodeEngineConfig(const EngineConfig& config, Encoder* enc);
 Status DecodeEngineConfig(Decoder* dec, EngineConfig* config);
+
+/// One command-line flag of a tool.
+struct Flag {
+  const char* name;     ///< e.g. "--output"
+  const char* metavar;  ///< nullptr = switch: its presence sets the bool
+  const char* help;
+  OptionRef value;
+};
+
+/// The flags of the knobs `tool` accepts, bound to `config`.
+std::vector<Flag> EngineFlags(KnobTool tool, EngineConfig* config);
+
+/// Parses `text` strictly: the whole token must be consumed, an integer
+/// must fit its field (no sign for unsigned ones), a double must be
+/// finite and a mode must be none, size or time.
+Status ParseOptionValue(const std::string& text, OptionRef value);
+/// The value as --help prints it; ParseOptionValue reads it back exactly.
+std::string FormatOptionValue(OptionRef value);
+
+/// The --help text: the synopsis, then one line per flag with its current
+/// value as the default.
+std::string FlagHelp(const char* synopsis, const std::vector<Flag>& flags);
+
+/// Parses argv[1..] against `flags`. --help (or -h) prints FlagHelp with
+/// the values from before parsing. An unknown flag, a missing value or a
+/// malformed one is printed with the synopsis. Returns the exit code to
+/// stop with -- 0 after --help, 2 after an error -- or nullopt to run.
+std::optional<int> ParseFlags(const char* synopsis,
+                              const std::vector<Flag>& flags, int argc,
+                              char** argv);
+
+/// Prints `message` and the synopsis to stderr; returns exit code 2.
+int UsageError(const char* synopsis, const std::string& message);
 
 }  // namespace qcm
 

@@ -20,9 +20,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/kcore.h"
+#include "gthinker/engine_config.h"
 #include "quick/quasi_clique.h"
 
 namespace {
@@ -65,6 +68,15 @@ std::string Digest(const std::string& output) {
   const size_t pos = output.find(needle);
   if (pos == std::string::npos) return "";
   return output.substr(pos + needle.size(), 16);
+}
+
+/// The launcher-made log dir, from its "(logs in <dir>, ..." line.
+std::string LogDir(const std::string& output) {
+  const std::string needle = "logs in ";
+  const size_t pos = output.find(needle);
+  if (pos == std::string::npos) return "";
+  const size_t start = pos + needle.size();
+  return output.substr(start, output.find_first_of(",\n", start) - start);
 }
 
 constexpr char kGraphSpec[] =
@@ -291,6 +303,119 @@ TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
   ASSERT_NE(merged_at, std::string::npos) << json;
   ExpectTaskCountersAddUp(json, merged_at);
   std::remove(json_path.c_str());
+}
+
+// --snapshot alone is a complete source: the launcher never reads an
+// --input or --gen-planted beside it. A successful run also removes the
+// log dir the launcher made and printed.
+TEST(ClusterE2ETest, SnapshotWithoutSourceMatchesQcmMine) {
+  const std::string snap_path = ::testing::TempDir() + "/qcm_nosource.qcsr";
+  const RunResult packed = RunCommand(
+      BinDir() + "/qcm_pack --gen-planted " + kGraphSpec +
+      " --seed 3 --output " + snap_path);
+  ASSERT_EQ(packed.exit_code, 0) << packed.output;
+
+  const RunResult single = RunCommand(
+      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
+      kMiningFlags + " --machines 3 --threads 2");
+  ASSERT_EQ(single.exit_code, 0) << single.output;
+
+  const RunResult cluster = RunCommand(
+      BinDir() + "/qcm_cluster --snapshot " + snap_path +
+      " --gamma 0.85 --min-size 8 --workers 3 --threads 2");
+  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
+  EXPECT_EQ(cluster.output.find("packed"), std::string::npos)
+      << cluster.output;
+
+  const std::string single_digest = Digest(single.output);
+  ASSERT_EQ(single_digest.size(), 16u) << single.output;
+  EXPECT_EQ(single_digest, Digest(cluster.output))
+      << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
+
+  const std::string log_dir = LogDir(cluster.output);
+  ASSERT_EQ(log_dir.rfind("/tmp/qcm_cluster_", 0), 0u) << cluster.output;
+  EXPECT_FALSE(std::filesystem::exists(log_dir)) << log_dir;
+  std::remove(snap_path.c_str());
+}
+
+// A failed run keeps its launcher-made log dir and says where it is.
+TEST(ClusterE2ETest, FailedRunKeepsItsDefaultLogDir) {
+  const RunResult cluster = RunCommand(
+      BinDir() + "/qcm_cluster --snapshot " + ::testing::TempDir() +
+      "/qcm_no_such_file.qcsr " + kMiningFlags + " --workers 2");
+  EXPECT_EQ(cluster.exit_code, 1) << cluster.output;
+  const std::string needle = "logs kept in ";
+  const size_t pos = cluster.output.find(needle);
+  ASSERT_NE(pos, std::string::npos) << cluster.output;
+  const size_t start = pos + needle.size();
+  const std::string log_dir =
+      cluster.output.substr(start, cluster.output.find('\n', start) - start);
+  EXPECT_TRUE(std::filesystem::is_directory(log_dir)) << log_dir;
+  std::filesystem::remove_all(log_dir);
+}
+
+// Strict flag values: each malformed value exits 2 with the usage line
+// instead of running with a wrapped or truncated knob.
+void ExpectRejected(const std::string& command,
+                    const std::vector<std::string>& bad_flags) {
+  for (const std::string& bad : bad_flags) {
+    const RunResult run = RunCommand(command + " " + bad);
+    EXPECT_EQ(run.exit_code, 2) << command << " " << bad << "\n"
+                                << run.output;
+    EXPECT_NE(run.output.find("usage: "), std::string::npos)
+        << command << " " << bad << "\n" << run.output;
+  }
+}
+
+const std::vector<std::string> kMalformedEngineFlags = {
+    "--min-size -1",    "--tau-split -1", "--tau-split 99999999999",
+    "--threads 2x",     "--gamma 0.85abc", "--cache-capacity -1",
+    "--mode fast",      "--gamma"};
+
+TEST(CliFlagsTest, QcmMineRejectsMalformedValues) {
+  ExpectRejected(BinDir() + "/qcm_mine --gen-planted " + kGraphSpec,
+                 kMalformedEngineFlags);
+}
+
+TEST(CliFlagsTest, QcmClusterRejectsMalformedValues) {
+  ExpectRejected(BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec,
+                 kMalformedEngineFlags);
+  ExpectRejected(BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec,
+                 {"--workers 0", "--net-linger-usec 1e3",
+                  "--graph-memory-budget 64k"});
+}
+
+bool HaveTauSweep() {
+  return std::filesystem::exists(BinDir() + "/tau_sweep");
+}
+
+TEST(CliFlagsTest, TauSweepRejectsMalformedValues) {
+  if (!HaveTauSweep()) GTEST_SKIP() << "benches (and tau_sweep) not built";
+  ExpectRejected(BinDir() + "/tau_sweep",
+                 {"--threads 2x", "--net-latency-ticks -1",
+                  "--net-latency 0.5abc", "--machines 99999999999",
+                  "--per-decade 1.5", "--gamma 0.9", "--threads"});
+}
+
+// --help lists exactly the table's flags for each tool.
+TEST(CliFlagsTest, HelpListsEveryKnobOfEachTool) {
+  const std::pair<const char*, qcm::KnobTool> tools[] = {
+      {"qcm_mine", qcm::kQcmMine},
+      {"qcm_cluster", qcm::kQcmCluster},
+      {"tau_sweep", qcm::kTauSweep}};
+  for (const auto& [bin, tool] : tools) {
+    if (tool == qcm::kTauSweep && !HaveTauSweep()) continue;
+    const RunResult help = RunCommand(BinDir() + "/" + bin + " --help");
+    EXPECT_EQ(help.exit_code, 0) << bin << "\n" << help.output;
+    for (const qcm::EngineKnob& knob : qcm::EngineKnobs()) {
+      if (knob.flag == nullptr) continue;
+      const bool listed =
+          help.output.find(std::string("  ") + knob.flag + " ") !=
+          std::string::npos;
+      EXPECT_EQ(listed, (knob.tools & tool) != 0)
+          << bin << " " << knob.flag << "\n" << help.output;
+    }
+  }
 }
 
 }  // namespace

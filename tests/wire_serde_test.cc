@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -450,8 +451,14 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   for (size_t v = 0; v < alive.size(); ++v) alive[v] = v % 3 == 1;
   spec.kcore_mask = PackVertexMask(alive);
 
+  // The knob table drives the codec; these bytes predate the table and
+  // must not move without a kWireProtocolVersion bump.
+  const std::string blob = EncodeJobSpec(spec);
+  EXPECT_EQ(blob.size(), 305u);
+  EXPECT_EQ(Fingerprint(blob), 0x8a9ca15b638e770bULL);
+
   ClusterJobSpec out;
-  ASSERT_TRUE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
+  ASSERT_TRUE(DecodeJobSpec(blob, &out).ok());
   EXPECT_EQ(out.config.num_machines, 3);
   EXPECT_EQ(out.config.threads_per_machine, 4);
   EXPECT_EQ(out.config.tau_split, 55u);
@@ -497,6 +504,33 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
 // A worker checks the shipped k-core mask against the snapshot it maps
 // (UnpackVertexMask with the snapshot's vertex count) and fails loudly on
 // any other length.
+// Two bool rows with equal values above could trade places unseen. Give
+// each bool (in wire order) a distinct 4-bit code across four specs and
+// pin every spec's bytes, so any reordering of them changes one.
+TEST(JobSpecTest, BoolFieldOrderIsPinned) {
+  constexpr uint64_t kPinned[] = {0xa71b2035d02ff1c1ULL, 0x01e87d7219d9a6bfULL,
+                                  0x039806629d4d0d16ULL, 0x777a128cce2ce5adULL};
+  for (int bit = 0; bit < 4; ++bit) {
+    ClusterJobSpec spec;
+    EngineConfig& c = spec.config;
+    c.graph_snapshot = "/tmp/graph.qcsr";
+    bool* bools[] = {&c.enable_stealing,
+                     &c.spawn_prefetch,
+                     &c.record_task_log,
+                     &c.mining.use_cover_vertex,
+                     &c.mining.use_critical_vertex,
+                     &c.mining.use_upper_bound,
+                     &c.mining.use_lower_bound,
+                     &c.mining.use_degree_pruning,
+                     &c.mining.use_lookahead,
+                     &c.mining.quick_compat};
+    for (size_t i = 0; i < std::size(bools); ++i) {
+      *bools[i] = ((i + 1) >> bit) & 1;
+    }
+    EXPECT_EQ(Fingerprint(EncodeJobSpec(spec)), kPinned[bit]) << bit;
+  }
+}
+
 TEST(JobSpecTest, RejectsKCoreMaskOfWrongLength) {
   ClusterJobSpec spec;
   spec.config.graph_snapshot = "/tmp/graph.qcsr";

@@ -15,10 +15,12 @@
 # per-rank peak RSS, and the paged-store counters.
 #
 # Usage: tools/bench_oocsr.sh [build-dir] [out.json]
+# The JSON goes to ${TMPDIR:-/tmp}/oocsr_before_after.json unless a path
+# is given; the committed bench/oocsr_before_after.json is history.
 set -u -o pipefail
 
 BUILD="${1:-./build}"
-OUT="${2:-bench/oocsr_before_after.json}"
+OUT="${2:-${TMPDIR:-/tmp}/oocsr_before_after.json}"
 CLUSTER="$BUILD/qcm_cluster"
 PACK="$BUILD/qcm_pack"
 for bin in "$CLUSTER" "$PACK"; do

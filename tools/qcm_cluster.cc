@@ -10,30 +10,17 @@
 // (asserted by tests/cluster_e2e_test.cc and tools/check_smoke.sh), even
 // when a worker is killed mid-run and recovered from its checkpoint.
 //
-// Usage:
-//   qcm_cluster (--input PATH | --gen-planted SPEC) --workers N
-//               [--threads N] [--gamma F] [--min-size N] [--tau-split N]
-//               [--tau-time F] [--mode none|size|time]
-//               [--cache-capacity N]
-//               [--pull-batch N] [--net-latency F] [--net-latency-ticks N]
-//               [--net-coalesce-bytes N] [--net-linger-usec N]
-//               [--prefetch] [--prefetch-limit N] [--steal-rtt-ref F]
-//               [--steal-batch-factor N] [--dense-threshold N]
-//               [--heartbeat-usec N] [--checkpoint-interval F]
-//               [--checkpoint-dir DIR] [--max-rank-restarts N]
-//               [--seed N] [--output PATH] [--no-filter] [--stats]
-//               [--stats-json PATH] [--worker-bin PATH] [--log-dir DIR]
-//               [--trace-out PATH] [--trace-buffer-kb N]
-//               [--stats-interval-ms N] [--log-level L]
-//               [--snapshot PATH.qcsr]
-//               [--graph-memory-budget BYTES] [--graph-page-size BYTES]
+// `qcm_cluster --help` lists every flag with its default. The engine
+// flags come from the EngineConfig knob table (gthinker/engine_config.h),
+// which qcm_mine and tau_sweep share.
 //
 // Graph distribution: the launcher packs the input into a .qcsr snapshot
 // ONCE (<log-dir>/graph.qcsr) and ships only the path; workers mmap it
 // and fault in just their partition's pages, so no rank ever
 // materializes the full graph. --snapshot reuses a qcm_pack output
-// instead, and --graph-memory-budget caps each rank's resident adjacency
-// bytes (evicted pages refault on demand -- out-of-core mining). Before
+// instead (a source given beside it is ignored), and
+// --graph-memory-budget caps each rank's resident adjacency bytes
+// (evicted pages refault on demand -- out-of-core mining). Before
 // any worker is forked the launcher verifies the whole snapshot and
 // peels it to the global k-core (paper §4 T1); the mask ships in the job
 // spec and ranks spawn, stage and pull only core vertices.
@@ -49,9 +36,10 @@
 //
 // Worker stdout/stderr are redirected to <log-dir>/worker<rank>.log
 // (a replacement incarnation logs to worker<rank>.r<restart>.log so the
-// dead incarnation's last words survive; default log dir: a fresh temp
-// dir, path printed) so a crashed rank's story is always on disk for CI
-// to upload.
+// dead incarnation's last words survive) so a crashed rank's story is
+// always on disk for CI to upload. The default log dir is a fresh temp
+// dir: removed, packed graph included, after a successful run, and kept
+// with its path printed after a failed one. A --log-dir is never removed.
 //
 // Fault-injection hook (CI smoke): QCM_SMOKE_KILL_RANK=<r> makes rank
 // r's first worker incarnation hold right after its first durable
@@ -99,251 +87,57 @@ namespace {
 using namespace qcm;
 
 struct Args {
+  /// spec.config holds every engine knob; --workers sets num_machines.
   ClusterJobSpec spec;
-  /// Exactly one graph source: a SNAP edge-list path or a planted-
-  /// community generator spec (seeded by `seed`). The launcher packs it.
+  /// At most one graph source: a SNAP edge-list path or a planted-
+  /// community generator spec (seeded by `seed`). The launcher packs it
+  /// unless --snapshot names a packed file.
   std::string input;
   std::string gen_planted;
   uint64_t seed = 1;
-  int workers = 3;
   std::string output;
-  /// Pre-packed .qcsr to ship to workers (skips the launcher pack step).
-  std::string snapshot;
   bool no_filter = false;
   bool stats = false;
   std::string stats_json;
   std::string worker_bin;
   std::string log_dir;
-  std::string checkpoint_dir;
+  std::string log_level;
   int max_rank_restarts = 2;
-  std::string mode = "time";
-  /// --net-coalesce-bytes given without an explicit --net-linger-usec:
-  /// the linger falls back to the classic ~100 us bound instead of
-  /// tripping the linger-without-coalescing validation.
-  bool linger_defaulted = false;
 };
 
-void Usage() {
-  std::fprintf(stderr,
-               "usage: qcm_cluster (--input PATH | --gen-planted SPEC) "
-               "--workers N [--threads N]\n"
-               "                   [mining/engine flags, see file header] "
-               "[--output PATH]\n"
-               "                   [--heartbeat-usec N] "
-               "[--checkpoint-interval F] [--checkpoint-dir DIR]\n"
-               "                   [--max-rank-restarts N] "
-               "[--worker-bin PATH] [--log-dir DIR]\n"
-               "                   [--snapshot PATH.qcsr] "
-               "[--graph-memory-budget BYTES]\n"
-               "                   [--graph-page-size BYTES]\n");
-}
+constexpr char kSynopsis[] =
+    "qcm_cluster (--input PATH | --gen-planted SPEC | --snapshot PATH) "
+    "[flags]";
 
-bool ParseArgs(int argc, char** argv, Args* args) {
-  EngineConfig& config = args->spec.config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (a == "--input") {
-      if ((v = next("--input")) == nullptr) return false;
-      args->input = v;
-    } else if (a == "--gen-planted") {
-      if ((v = next("--gen-planted")) == nullptr) return false;
-      args->gen_planted = v;
-    } else if (a == "--workers") {
-      if ((v = next("--workers")) == nullptr) return false;
-      args->workers = std::atoi(v);
-    } else if (a == "--threads") {
-      if ((v = next("--threads")) == nullptr) return false;
-      config.threads_per_machine = std::atoi(v);
-    } else if (a == "--gamma") {
-      if ((v = next("--gamma")) == nullptr) return false;
-      config.mining.gamma = std::atof(v);
-    } else if (a == "--min-size") {
-      if ((v = next("--min-size")) == nullptr) return false;
-      config.mining.min_size = static_cast<uint32_t>(std::atoi(v));
-    } else if (a == "--dense-threshold") {
-      if ((v = next("--dense-threshold")) == nullptr) return false;
-      const long long threshold = std::atoll(v);
-      if (threshold < 0) {
-        std::fprintf(stderr,
-                     "--dense-threshold must be >= 0 (0 disables the dense "
-                     "bitset kernels)\n");
-        return false;
-      }
-      config.mining.dense_threshold = threshold;
-    } else if (a == "--tau-split") {
-      if ((v = next("--tau-split")) == nullptr) return false;
-      config.tau_split = static_cast<uint32_t>(std::atoi(v));
-    } else if (a == "--tau-time") {
-      if ((v = next("--tau-time")) == nullptr) return false;
-      config.tau_time = std::atof(v);
-    } else if (a == "--mode") {
-      if ((v = next("--mode")) == nullptr) return false;
-      args->mode = v;
-    } else if (a == "--cache-capacity") {
-      if ((v = next("--cache-capacity")) == nullptr) return false;
-      config.vertex_cache_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--pull-batch") {
-      if ((v = next("--pull-batch")) == nullptr) return false;
-      config.max_pull_batch = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--net-latency") {
-      if ((v = next("--net-latency")) == nullptr) return false;
-      config.net_latency_sec = std::atof(v);
-      if (config.net_latency_sec < 0) {
-        std::fprintf(stderr, "--net-latency must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--net-latency-ticks") {
-      if ((v = next("--net-latency-ticks")) == nullptr) return false;
-      const long long ticks = std::atoll(v);
-      if (ticks < 0) {
-        // A blind cast would wrap to a near-infinite delay and hang the
-        // cluster; reject loudly instead.
-        std::fprintf(stderr, "--net-latency-ticks must be >= 0\n");
-        return false;
-      }
-      config.net_latency_ticks = static_cast<uint64_t>(ticks);
-    } else if (a == "--net-coalesce-bytes") {
-      if ((v = next("--net-coalesce-bytes")) == nullptr) return false;
-      config.net_coalesce_bytes = std::atoll(v);
-      args->linger_defaulted = config.net_linger_usec == 0;
-    } else if (a == "--net-linger-usec") {
-      if ((v = next("--net-linger-usec")) == nullptr) return false;
-      config.net_linger_usec = std::atoll(v);
-      args->linger_defaulted = false;
-    } else if (a == "--prefetch") {
-      config.spawn_prefetch = true;
-    } else if (a == "--prefetch-limit") {
-      if ((v = next("--prefetch-limit")) == nullptr) return false;
-      const long long limit = std::atoll(v);
-      if (limit < 0) {
-        std::fprintf(stderr, "--prefetch-limit must be >= 0\n");
-        return false;
-      }
-      config.prefetch_limit = static_cast<size_t>(limit);
-    } else if (a == "--steal-rtt-ref") {
-      if ((v = next("--steal-rtt-ref")) == nullptr) return false;
-      config.steal_rtt_reference_sec = std::atof(v);
-    } else if (a == "--steal-batch-factor") {
-      if ((v = next("--steal-batch-factor")) == nullptr) return false;
-      const long long factor = std::atoll(v);
-      if (factor < 1) {
-        std::fprintf(stderr, "--steal-batch-factor must be >= 1\n");
-        return false;
-      }
-      config.steal_max_batch_factor = static_cast<uint64_t>(factor);
-    } else if (a == "--heartbeat-usec") {
-      if ((v = next("--heartbeat-usec")) == nullptr) return false;
-      const long long usec = std::atoll(v);
-      if (usec < 0) {
-        std::fprintf(stderr, "--heartbeat-usec must be >= 0\n");
-        return false;
-      }
-      config.heartbeat_usec = usec;
-    } else if (a == "--checkpoint-interval") {
-      if ((v = next("--checkpoint-interval")) == nullptr) return false;
-      config.checkpoint_interval_sec = std::atof(v);
-      if (config.checkpoint_interval_sec <= 0) {
-        std::fprintf(stderr, "--checkpoint-interval must be > 0\n");
-        return false;
-      }
-    } else if (a == "--checkpoint-dir") {
-      if ((v = next("--checkpoint-dir")) == nullptr) return false;
-      args->checkpoint_dir = v;
-    } else if (a == "--max-rank-restarts") {
-      if ((v = next("--max-rank-restarts")) == nullptr) return false;
-      args->max_rank_restarts = std::atoi(v);
-      if (args->max_rank_restarts < 0) {
-        std::fprintf(stderr, "--max-rank-restarts must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--snapshot") {
-      if ((v = next("--snapshot")) == nullptr) return false;
-      args->snapshot = v;
-    } else if (a == "--graph-memory-budget") {
-      if ((v = next("--graph-memory-budget")) == nullptr) return false;
-      config.graph_memory_budget = std::atoll(v);
-    } else if (a == "--graph-page-size") {
-      if ((v = next("--graph-page-size")) == nullptr) return false;
-      config.graph_page_size = std::atoll(v);
-    } else if (a == "--seed") {
-      if ((v = next("--seed")) == nullptr) return false;
-      args->seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (a == "--output") {
-      if ((v = next("--output")) == nullptr) return false;
-      args->output = v;
-    } else if (a == "--no-filter") {
-      args->no_filter = true;
-    } else if (a == "--stats") {
-      args->stats = true;
-    } else if (a == "--stats-json") {
-      if ((v = next("--stats-json")) == nullptr) return false;
-      args->stats_json = v;
-    } else if (a == "--trace-out") {
-      if ((v = next("--trace-out")) == nullptr) return false;
-      config.trace_out = v;
-    } else if (a == "--trace-buffer-kb") {
-      if ((v = next("--trace-buffer-kb")) == nullptr) return false;
-      config.trace_buffer_kb = std::atoll(v);
-    } else if (a == "--stats-interval-ms") {
-      if ((v = next("--stats-interval-ms")) == nullptr) return false;
-      config.stats_interval_ms = std::atoll(v);
-    } else if (a == "--log-level") {
-      if ((v = next("--log-level")) == nullptr) return false;
-      LogLevel level;
-      if (!ParseLogLevel(v, &level)) {
-        std::fprintf(stderr, "unknown --log-level %s\n", v);
-        return false;
-      }
-      SetLogLevel(level);
-    } else if (a == "--worker-bin") {
-      if ((v = next("--worker-bin")) == nullptr) return false;
-      args->worker_bin = v;
-    } else if (a == "--log-dir") {
-      if ((v = next("--log-dir")) == nullptr) return false;
-      args->log_dir = v;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (args->input.empty() == args->gen_planted.empty()) {
-    std::fprintf(stderr,
-                 "exactly one of --input / --gen-planted is required\n");
-    return false;
-  }
-  if (args->workers < 1 || args->workers > 64) {
-    std::fprintf(stderr, "--workers must be in [1, 64]\n");
-    return false;
-  }
-  if (args->linger_defaulted && config.net_coalesce_bytes > 0) {
-    config.net_linger_usec = 100;
-  }
-  // NOTE: config.Validate() runs in main() AFTER the launcher pack step
-  // fills in config.graph_snapshot -- validating here would flag the
-  // budget-without-snapshot contradiction on every budgeted run.
-  if (args->mode == "none") {
-    config.mode = DecomposeMode::kNone;
-  } else if (args->mode == "size") {
-    config.mode = DecomposeMode::kSizeThreshold;
-  } else if (args->mode == "time") {
-    config.mode = DecomposeMode::kTimeDelayed;
-  } else {
-    std::fprintf(stderr, "unknown --mode %s\n", args->mode.c_str());
-    return false;
-  }
-  config.num_machines = args->workers;
-  return true;
+std::vector<Flag> Flags(Args* args) {
+  std::vector<Flag> flags = {
+      {"--input", "PATH", "SNAP edge list to pack and mine", &args->input},
+      {"--gen-planted", "SPEC", "planted-community graph (see qcm_mine)",
+       &args->gen_planted},
+      {"--seed", "N", "generator seed", &args->seed},
+      {"--workers", "N", "worker processes, one per machine, in [1, 64]",
+       &args->spec.config.num_machines},
+      {"--output", "PATH", "write one result per line, in canonical order",
+       &args->output},
+      {"--no-filter", nullptr,
+       "report the raw candidates, not the maximal sets", &args->no_filter},
+      {"--stats", nullptr, "print cluster, filter and pager statistics",
+       &args->stats},
+      {"--stats-json", "PATH", "write per-rank and merged reports as JSON",
+       &args->stats_json},
+      {"--worker-bin", "PATH", "qcm_worker binary (default: beside this one)",
+       &args->worker_bin},
+      {"--log-dir", "DIR", "worker logs and packed graph (default: temp dir)",
+       &args->log_dir},
+      {"--max-rank-restarts", "N", "replacement workers allowed per rank",
+       &args->max_rank_restarts},
+      {"--log-level", "L", "launcher log level; workers read QCM_LOG_LEVEL",
+       &args->log_level},
+  };
+  const std::vector<Flag> engine =
+      EngineFlags(kQcmCluster, &args->spec.config);
+  flags.insert(flags.end(), engine.begin(), engine.end());
+  return flags;
 }
 
 /// Default worker binary: qcm_worker next to this executable.
@@ -396,49 +190,24 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 2;
-  }
-  const std::string worker_bin =
-      args.worker_bin.empty() ? DefaultWorkerBin() : args.worker_bin;
-  if (::access(worker_bin.c_str(), X_OK) != 0) {
-    std::fprintf(stderr, "worker binary not executable: %s\n",
-                 worker_bin.c_str());
-    return 2;
-  }
-  std::string log_dir = args.log_dir;
-  if (log_dir.empty()) {
-    char templ[] = "/tmp/qcm_cluster_XXXXXX";
-    char* dir = ::mkdtemp(templ);
-    if (dir == nullptr) {
-      std::fprintf(stderr, "cannot create log directory\n");
-      return 1;
-    }
-    log_dir = dir;
-  } else {
-    ::mkdir(log_dir.c_str(), 0755);
-  }
-
+/// One cluster run with its worker logs (and the packed graph, unless
+/// --snapshot names one) under `log_dir`. Returns the exit code.
+int Launch(Args* args, const std::string& worker_bin,
+           const std::string& log_dir) {
+  EngineConfig& config = args->spec.config;
+  const int num_workers = config.num_machines;
   // Pack the graph ONCE in the launcher and ship only the snapshot path:
   // workers mmap <log-dir>/graph.qcsr instead of each re-parsing /
   // regenerating and transiently materializing the full graph.
-  // --snapshot reuses a pre-packed file.
-  EngineConfig& config = args.spec.config;
-  if (!args.snapshot.empty()) {
-    config.graph_snapshot = args.snapshot;
-  } else {
+  // --snapshot names a pre-packed file, and then no source is read.
+  if (config.graph_snapshot.empty()) {
     WallTimer pack_timer;
     Graph full;
     std::vector<uint64_t> original_ids;
     CsrWriteOptions opts;
     opts.page_size = static_cast<uint32_t>(config.graph_page_size);
-    if (!args.input.empty()) {
-      auto loaded = LoadEdgeList(args.input);
+    if (!args->input.empty()) {
+      auto loaded = LoadEdgeList(args->input);
       if (!loaded.ok()) {
         std::fprintf(stderr, "graph load failed: %s\n",
                      loaded.status().ToString().c_str());
@@ -447,7 +216,7 @@ int main(int argc, char** argv) {
       full = std::move(loaded->graph);
       original_ids = std::move(loaded->original_ids);
     } else {
-      auto parsed = ParsePlantedSpec(args.gen_planted, args.seed);
+      auto parsed = ParsePlantedSpec(args->gen_planted, args->seed);
       if (!parsed.ok()) {
         std::fprintf(stderr, "bad planted spec: %s\n",
                      parsed.status().ToString().c_str());
@@ -460,7 +229,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       full = std::move(generated).value();
-      opts.build_seed = args.seed;
+      opts.build_seed = args->seed;
     }
     config.graph_snapshot = log_dir + "/graph.qcsr";
     Status packed =
@@ -513,23 +282,14 @@ int main(int argc, char** argv) {
     kcore_seconds = kcore_timer.Seconds();
     kcore_vertices = CountAlive(*alive);
     num_vertices = (*snap)->NumVertices();
-    args.spec.kcore_mask = PackVertexMask(*alive);
+    args->spec.kcore_mask = PackVertexMask(*alive);
   }
-  // Surface contradictory settings with the validator's file:line message
-  // instead of shipping them to every worker first. Runs after the pack
-  // step so graph_snapshot / graph_memory_budget are seen together.
-  if (Status valid = config.Validate(); !valid.ok()) {
-    std::fprintf(stderr, "invalid configuration: %s\n",
-                 valid.ToString().c_str());
-    return 2;
-  }
-
   // Checkpoint root shared by every rank (each keeps rank<R>/log under
   // it). A launcher-owned temp dir is removed on success; a caller-
   // provided one is left alone.
-  std::string ckpt_dir = args.checkpoint_dir;
-  bool owns_ckpt_dir = false;
-  if (ckpt_dir.empty()) {
+  std::string& ckpt_dir = config.checkpoint_dir;
+  const bool owns_ckpt_dir = ckpt_dir.empty();
+  if (owns_ckpt_dir) {
     char templ[] = "/tmp/qcm_ckpt_XXXXXX";
     char* dir = ::mkdtemp(templ);
     if (dir == nullptr) {
@@ -537,44 +297,52 @@ int main(int argc, char** argv) {
       return 1;
     }
     ckpt_dir = dir;
-    owns_ckpt_dir = true;
   } else {
     ::mkdir(ckpt_dir.c_str(), 0755);
   }
-  args.spec.config.checkpoint_dir = ckpt_dir;
+  // Surface contradictory settings with the validator's file:line message
+  // instead of shipping them to every worker first. Runs after the pack
+  // step and the checkpoint root, so every shipped field is seen.
+  if (Status valid = config.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "invalid configuration: %s\n",
+                 valid.ToString().c_str());
+    std::error_code ec;
+    if (owns_ckpt_dir) std::filesystem::remove_all(ckpt_dir, ec);
+    return 2;
+  }
 
   // Launcher-side tracing must be live before the coordinator runs so
   // recovery spans (rank_declared_dead, recover_*) land in a ring. The
   // workers start their own rings from the job spec.
-  const std::string trace_out = args.spec.config.trace_out;
+  const std::string trace_out = config.trace_out;
   if (!trace_out.empty()) {
-    trace::Start(static_cast<size_t>(args.spec.config.trace_buffer_kb));
+    trace::Start(static_cast<size_t>(config.trace_buffer_kb));
     trace::SetThreadName("launcher");
   }
 
   // Bind the control-plane listener before spawning anyone.
   CoordinatorConfig coord_config;
-  coord_config.world_size = args.workers;
-  coord_config.config_blob = EncodeJobSpec(args.spec);
+  coord_config.world_size = num_workers;
+  coord_config.config_blob = EncodeJobSpec(args->spec);
   coord_config.steal_period_sec =
-      args.spec.config.enable_stealing && args.workers >= 2
-          ? args.spec.config.steal_period_sec
+      config.enable_stealing && num_workers >= 2
+          ? config.steal_period_sec
           : 0.0;
-  coord_config.steal_batch_cap = args.spec.config.batch_size;
+  coord_config.steal_batch_cap = config.batch_size;
   coord_config.steal_rtt_reference_sec =
-      args.spec.config.steal_rtt_reference_sec;
+      config.steal_rtt_reference_sec;
   coord_config.steal_max_batch_factor =
-      args.spec.config.steal_max_batch_factor;
-  coord_config.max_rank_restarts = args.max_rank_restarts;
+      config.steal_max_batch_factor;
+  coord_config.max_rank_restarts = args->max_rank_restarts;
   // Liveness deadline: many heartbeat periods of slack (slow CI, TSan),
   // but never so long that a hung rank stalls the run indefinitely.
   // Child-exit detection (the watchdog below) catches clean crashes far
   // faster; the deadline is the backstop for wedged-but-alive processes.
   coord_config.heartbeat_deadline_sec =
-      args.spec.config.heartbeat_usec > 0
+      config.heartbeat_usec > 0
           ? std::max(1.0, 50.0 * 1e-6 *
                               static_cast<double>(
-                                  args.spec.config.heartbeat_usec))
+                                  config.heartbeat_usec))
           : 0.0;
   auto listening = Coordinator::Listen(std::move(coord_config));
   if (!listening.ok()) {
@@ -586,19 +354,19 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "qcm_cluster: coordinator on 127.0.0.1:%u, spawning %d "
                "workers (logs in %s, checkpoints in %s)\n",
-               coordinator->port(), args.workers, log_dir.c_str(),
+               coordinator->port(), num_workers, log_dir.c_str(),
                ckpt_dir.c_str());
 
   // Worker process table, shared between the main thread, the child
   // watchdog, the recovery callbacks, and the fault-injection hook.
   const std::string port_str = std::to_string(coordinator->port());
-  std::vector<WorkerProcess> workers(args.workers);
+  std::vector<WorkerProcess> workers(num_workers);
   // The coordinator assigns ranks in CONNECT order, which need not match
   // the spawn order this table is indexed by. rank_slot[r] maps rank r to
   // its process-table slot; filled from the coordinator's rank->pid map
   // (kHello carries the pid) once the handshake completes. Guarded by
   // workers_mu.
-  std::vector<int> rank_slot(args.workers, -1);
+  std::vector<int> rank_slot(num_workers, -1);
   std::mutex workers_mu;
 
   // Forks one worker for `rank`; returns false on fork failure. The
@@ -630,7 +398,7 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  for (int i = 0; i < args.workers; ++i) {
+  for (int i = 0; i < num_workers; ++i) {
     if (!spawn_worker(i)) {
       KillAll(&workers);
       return 1;
@@ -685,8 +453,8 @@ int main(int argc, char** argv) {
   // event lines ("ph":"C", pid = rank) for the merged timeline. The
   // callback runs on per-rank receiver threads.
   std::mutex stats_mu;
-  std::vector<WireStatsSample> latest_stats(args.workers);
-  std::vector<bool> stats_seen(args.workers, false);
+  std::vector<WireStatsSample> latest_stats(num_workers);
+  std::vector<bool> stats_seen(num_workers, false);
   std::vector<std::string> stats_events;
   coordinator->SetStatsCallback(
       [&](int rank, const WireStatsSample& sample) {
@@ -764,7 +532,7 @@ int main(int argc, char** argv) {
             int rank = -1;
             {
               std::lock_guard<std::mutex> lock(workers_mu);
-              for (int r = 0; r < args.workers; ++r) {
+              for (int r = 0; r < num_workers; ++r) {
                 if (rank_slot[r] == static_cast<int>(i)) rank = r;
               }
             }
@@ -789,7 +557,7 @@ int main(int argc, char** argv) {
   std::thread killer;
   if (const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK")) {
     const int kill_rank = std::atoi(kill_rank_env);
-    if (kill_rank >= 0 && kill_rank < args.workers) {
+    if (kill_rank >= 0 && kill_rank < num_workers) {
       const std::string kill_log =
           ckpt_dir + "/rank" + std::to_string(kill_rank) + "/log";
       killer = std::thread([&, kill_rank, kill_log] {
@@ -832,10 +600,10 @@ int main(int argc, char** argv) {
   // Live one-line ticker: a cross-rank rollup of the latest kStats
   // samples, printed at the sampling cadence once the first sample lands.
   std::thread ticker;
-  if (args.spec.config.stats_interval_ms > 0) {
+  if (config.stats_interval_ms > 0) {
     ticker = std::thread([&] {
       const int64_t interval_ms =
-          std::max<int64_t>(args.spec.config.stats_interval_ms, 250);
+          std::max<int64_t>(config.stats_interval_ms, 250);
       int64_t slept_ms = 0;
       while (!run_done.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -847,7 +615,7 @@ int main(int argc, char** argv) {
         int seen = 0;
         {
           std::lock_guard<std::mutex> lock(stats_mu);
-          for (int r = 0; r < args.workers; ++r) {
+          for (int r = 0; r < num_workers; ++r) {
             if (!stats_seen[r]) continue;
             ++seen;
             const WireStatsSample& s = latest_stats[r];
@@ -870,7 +638,7 @@ int main(int argc, char** argv) {
                      "telemetry: %d/%d ranks | pending %llu | big-queue "
                      "%llu | busy %llu compers | in-flight %llu B | "
                      "cache-hit %.1f%% | %llu tasks done\n",
-                     seen, args.workers, pending, queue, busy, inflight,
+                     seen, num_workers, pending, queue, busy, inflight,
                      hit_pct, tasks);
       }
     });
@@ -883,9 +651,9 @@ int main(int argc, char** argv) {
     // order decides) BEFORE releasing the watchdog/killer onto the
     // recovery path.
     std::lock_guard<std::mutex> lock(workers_mu);
-    for (int r = 0; r < args.workers; ++r) {
+    for (int r = 0; r < num_workers; ++r) {
       const uint64_t pid = coordinator->RankPid(r);
-      for (int s = 0; s < args.workers; ++s) {
+      for (int s = 0; s < num_workers; ++s) {
         if (static_cast<uint64_t>(workers[s].pid) == pid) rank_slot[r] = s;
       }
     }
@@ -911,7 +679,7 @@ int main(int argc, char** argv) {
   // the run (superseded incarnations died by design and were already
   // reaped by the watchdog or the kill callback).
   bool workers_ok = true;
-  for (int i = 0; i < args.workers; ++i) {
+  for (int i = 0; i < num_workers; ++i) {
     WorkerProcess& w = workers[i];
     if (!w.reaped) {
       if (!run_status.ok()) ::kill(w.pid, SIGKILL);
@@ -959,21 +727,21 @@ int main(int argc, char** argv) {
   // candidates.
   WallTimer filter_timer;
   std::vector<VertexSet> results =
-      args.no_filter ? std::move(merged.results)
+      args->no_filter ? std::move(merged.results)
                      : FilterMaximal(merged.results, &duplicates_suppressed);
   const double filter_seconds = filter_timer.Seconds();
 
   std::fprintf(stderr, "%zu %s quasi-cliques in %.3f s\n", results.size(),
-               args.no_filter ? "candidate" : "maximal",
+               args->no_filter ? "candidate" : "maximal",
                merged.wall_seconds);
   // Canonical order + digest + output file, shared with qcm_mine so the
   // digest-parity gate compares one implementation against itself.
-  auto digest = EmitCanonicalResults(&results, args.output);
+  auto digest = EmitCanonicalResults(&results, args->output);
   if (!digest.ok()) {
     std::fprintf(stderr, "%s\n", digest.status().ToString().c_str());
     return 1;
   }
-  if (args.stats) {
+  if (args->stats) {
     std::fprintf(stderr, "k-core: %llu of %u vertices (k=%u), %.3f s\n",
                  static_cast<unsigned long long>(kcore_vertices),
                  num_vertices, config.mining.MinDegreeK(), kcore_seconds);
@@ -981,13 +749,13 @@ int main(int argc, char** argv) {
         stderr,
         "cluster: %d workers, %llu tasks, %llu stolen (%llu steal "
         "commands), %llu pulled vertices, %llu raw candidates\n",
-        args.workers,
+        num_workers,
         static_cast<unsigned long long>(merged.counters.tasks_completed),
         static_cast<unsigned long long>(merged.counters.stolen_tasks),
         static_cast<unsigned long long>(steal_commands),
         static_cast<unsigned long long>(merged.counters.pulled_vertices),
         static_cast<unsigned long long>(raw_candidates));
-    if (!args.no_filter) {
+    if (!args->no_filter) {
       std::fprintf(stderr,
                    "filter: %zu raw -> %zu maximal, %zu duplicates, %.3f s\n",
                    raw_candidates, results.size(), duplicates_suppressed,
@@ -1027,7 +795,7 @@ int main(int argc, char** argv) {
   // rank-naming metadata into ONE Perfetto-loadable timeline.
   if (!trace_out.empty()) {
     std::vector<std::string> fragments;
-    for (int r = 0; r < args.workers; ++r) {
+    for (int r = 0; r < num_workers; ++r) {
       fragments.push_back(trace_out + ".rank" + std::to_string(r) +
                           ".jsonl");
     }
@@ -1036,7 +804,7 @@ int main(int argc, char** argv) {
       std::lock_guard<std::mutex> lock(stats_mu);
       extra = std::move(stats_events);
     }
-    const int launcher_pid = args.workers;
+    const int launcher_pid = num_workers;
     const std::string drained = trace::DrainJsonLines(launcher_pid);
     for (size_t start = 0; start < drained.size();) {
       size_t end = drained.find('\n', start);
@@ -1044,9 +812,9 @@ int main(int argc, char** argv) {
       if (end > start) extra.push_back(drained.substr(start, end - start));
       start = end + 1;
     }
-    for (int r = 0; r <= args.workers; ++r) {
+    for (int r = 0; r <= num_workers; ++r) {
       const std::string label =
-          r == args.workers ? "launcher" : "rank" + std::to_string(r);
+          r == num_workers ? "launcher" : "rank" + std::to_string(r);
       extra.push_back(
           "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":" +
           std::to_string(r) + ",\"tid\":0,\"args\":{\"name\":\"" + label +
@@ -1058,7 +826,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "trace: %s (%d rank fragments merged, %llu launcher "
                    "records dropped)\n",
-                   trace_out.c_str(), args.workers,
+                   trace_out.c_str(), num_workers,
                    static_cast<unsigned long long>(trace::DroppedRecords()));
     } else {
       std::fprintf(stderr, "trace merge failed: %s\n",
@@ -1066,7 +834,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.stats_json.empty()) {
+  if (!args->stats_json.empty()) {
     // One JSON object per rank plus the merged totals and the recovery
     // story, so CI can chart per-rank balance and fault-tolerance
     // overhead without re-deriving them.
@@ -1097,12 +865,12 @@ int main(int argc, char** argv) {
               "}";
     }
     json += "]\n  }\n}\n";
-    FILE* f = args.stats_json == "-"
+    FILE* f = args->stats_json == "-"
                   ? stdout
-                  : std::fopen(args.stats_json.c_str(), "w");
+                  : std::fopen(args->stats_json.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s for writing\n",
-                   args.stats_json.c_str());
+                   args->stats_json.c_str());
       return 1;
     }
     std::fputs(json.c_str(), f);
@@ -1114,4 +882,60 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(ckpt_dir, ec);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  EngineConfig& config = args.spec.config;
+  config.num_machines = 3;
+  if (auto exit_code = ParseFlags(kSynopsis, Flags(&args), argc, argv)) {
+    return *exit_code;
+  }
+  const int sources = (args.input.empty() ? 0 : 1) +
+                      (args.gen_planted.empty() ? 0 : 1);
+  if (sources > 1 || (sources == 0 && config.graph_snapshot.empty())) {
+    return UsageError(kSynopsis,
+                      "give one of --input / --gen-planted, or a packed "
+                      "--snapshot");
+  }
+  if (config.num_machines < 1 || config.num_machines > 64) {
+    return UsageError(kSynopsis, "--workers must be in [1, 64]");
+  }
+  if (args.max_rank_restarts < 0) {
+    return UsageError(kSynopsis, "--max-rank-restarts must be >= 0");
+  }
+  if (!args.log_level.empty()) {
+    LogLevel level;
+    if (!ParseLogLevel(args.log_level, &level)) {
+      return UsageError(kSynopsis, "unknown --log-level " + args.log_level);
+    }
+    SetLogLevel(level);
+  }
+  const std::string worker_bin =
+      args.worker_bin.empty() ? DefaultWorkerBin() : args.worker_bin;
+  if (::access(worker_bin.c_str(), X_OK) != 0) {
+    std::fprintf(stderr, "worker binary not executable: %s\n",
+                 worker_bin.c_str());
+    return 2;
+  }
+  if (!args.log_dir.empty()) {
+    ::mkdir(args.log_dir.c_str(), 0755);
+    return Launch(&args, worker_bin, args.log_dir);
+  }
+  char templ[] = "/tmp/qcm_cluster_XXXXXX";
+  const char* log_dir = ::mkdtemp(templ);
+  if (log_dir == nullptr) {
+    std::fprintf(stderr, "cannot create log directory\n");
+    return 1;
+  }
+  const int exit_code = Launch(&args, worker_bin, log_dir);
+  if (exit_code == 0) {
+    std::error_code ec;
+    std::filesystem::remove_all(log_dir, ec);
+  } else {
+    std::fprintf(stderr, "qcm_cluster: logs kept in %s\n", log_dir);
+  }
+  return exit_code;
 }

@@ -4,29 +4,19 @@
 // mine many times: qcm_cluster runs this conversion in-process and ships
 // only the snapshot path to its workers.
 //
-// Usage:
+// Usage (`qcm_pack --help` lists every flag with its default):
 //   qcm_pack --input graph.txt --output graph.qcsr [--page-size N]
 //   qcm_pack --gen-planted n=5000,communities=10,size=16..20,density=0.95
 //            --seed 7 --output planted.qcsr --verify
-//
-// Options:
-//   --input PATH        SNAP edge list ('#' comments, "u v" lines)
-//   --gen-planted SPEC  synthetic planted-community graph (qcm_mine SPEC)
-//   --output PATH       snapshot file to write               (required)
-//   --page-size N       section alignment / paging granularity in bytes;
-//                       power of two >= 4096                 (default 65536)
-//   --seed N            generator seed                       (default 1)
-//   --verify            re-open the written file and stream-verify every
-//                       section checksum (including adjacency)
-//   --quiet             suppress the layout report
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "graph/csr_snapshot.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
+#include "gthinker/engine_config.h"
 #include "util/mem.h"
 #include "util/timer.h"
 
@@ -44,83 +34,46 @@ struct Args {
   bool quiet = false;
 };
 
-void Usage() {
-  std::fprintf(stderr,
-               "usage: qcm_pack (--input PATH | --gen-planted SPEC) "
-               "--output FILE.qcsr\n"
-               "                [--page-size N] [--seed N] [--verify] "
-               "[--quiet]\n");
-}
+constexpr char kSynopsis[] =
+    "qcm_pack (--input PATH | --gen-planted SPEC) --output FILE.qcsr "
+    "[flags]";
 
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (a == "--input") {
-      const char* v = next("--input");
-      if (!v) return false;
-      args->input = v;
-    } else if (a == "--gen-planted") {
-      const char* v = next("--gen-planted");
-      if (!v) return false;
-      args->gen_planted = v;
-    } else if (a == "--output") {
-      const char* v = next("--output");
-      if (!v) return false;
-      args->output = v;
-    } else if (a == "--page-size") {
-      const char* v = next("--page-size");
-      if (!v) return false;
-      const long long page = std::atoll(v);
-      if (page < static_cast<long long>(kCsrMinPageSize) ||
-          (page & (page - 1)) != 0) {
-        std::fprintf(stderr,
-                     "--page-size must be a power of two >= %u\n",
-                     kCsrMinPageSize);
-        return false;
-      }
-      args->page_size = static_cast<uint32_t>(page);
-    } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      args->seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (a == "--verify") {
-      args->verify = true;
-    } else if (a == "--quiet") {
-      args->quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (args->input.empty() == args->gen_planted.empty()) {
-    std::fprintf(stderr,
-                 "exactly one of --input / --gen-planted is required\n");
-    return false;
-  }
-  if (args->output.empty()) {
-    std::fprintf(stderr, "--output is required\n");
-    return false;
-  }
-  return true;
+std::vector<Flag> Flags(Args* args) {
+  return {
+      {"--input", "PATH", "SNAP edge list ('#' comments, \"u v\" lines)",
+       &args->input},
+      {"--gen-planted", "SPEC", "planted-community graph (see qcm_mine)",
+       &args->gen_planted},
+      {"--output", "PATH", "snapshot file to write (required)",
+       &args->output},
+      {"--page-size", "N",
+       "section alignment and paging granularity; power of two >= 4096",
+       &args->page_size},
+      {"--seed", "N", "generator seed", &args->seed},
+      {"--verify", nullptr, "re-open the file and verify every checksum",
+       &args->verify},
+      {"--quiet", nullptr, "suppress the layout report", &args->quiet},
+  };
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 2;
+  if (auto exit_code = ParseFlags(kSynopsis, Flags(&args), argc, argv)) {
+    return *exit_code;
+  }
+  if (args.input.empty() == args.gen_planted.empty()) {
+    return UsageError(kSynopsis,
+                      "exactly one of --input / --gen-planted is required");
+  }
+  if (args.output.empty()) {
+    return UsageError(kSynopsis, "--output is required");
+  }
+  if (args.page_size < kCsrMinPageSize ||
+      (args.page_size & (args.page_size - 1)) != 0) {
+    return UsageError(kSynopsis, "--page-size must be a power of two >= " +
+                                     std::to_string(kCsrMinPageSize));
   }
 
   WallTimer load_timer;

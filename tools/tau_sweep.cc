@@ -6,24 +6,13 @@
 // table plus a JSON array, instead of the fixed grids baked into the
 // individual benches.
 //
-// Usage:
-//   tau_sweep [--dataset NAME] [--tau-max F] [--tau-min F]
-//             [--per-decade N] [--machines N] [--threads N]
-//             [--net-latency SEC] [--net-latency-ticks N]
-//             [--json PATH]
-//
-//   --dataset NAME     bench registry name ("Hyves-like", "GSE1730-like",
-//                      or the paper's names)         (default Hyves-like)
-//   --tau-max F        largest tau_time of the sweep  (default 0.5)
-//   --tau-min F        smallest tau_time              (default 0.005)
-//   --per-decade N     sample points per decade       (default 2)
-//   --json PATH        write the JSON series here ("-" = stdout);
-//                      QCM_BENCH_JSON is honored as a fallback
+// `tau_sweep --help` lists every flag with its default; the engine flags
+// come from the EngineConfig knob table (gthinker/engine_config.h).
+// QCM_BENCH_JSON names the JSON output when --json is not given.
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,87 +30,27 @@ struct Args {
   double tau_max = 0.5;
   double tau_min = 0.005;
   int per_decade = 2;
-  int machines = 0;  // 0 = ClusterPreset default
-  int threads = 0;
-  double net_latency_sec = 0.0;
-  uint64_t net_latency_ticks = 0;
   std::string json_path;
+  /// Every sweep point starts from this config; the dataset then sets the
+  /// mining options and tau_split, and the sweep sets tau_time.
+  EngineConfig config = ClusterPreset();
 };
 
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: tau_sweep [--dataset NAME] [--tau-max F] [--tau-min F]\n"
-      "                 [--per-decade N] [--machines N] [--threads N]\n"
-      "                 [--net-latency SEC] [--net-latency-ticks N]\n"
-      "                 [--json PATH]\n");
-}
+constexpr char kSynopsis[] = "tau_sweep [flags]";
 
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (a == "--dataset") {
-      if ((v = next("--dataset")) == nullptr) return false;
-      args->dataset = v;
-    } else if (a == "--tau-max") {
-      if ((v = next("--tau-max")) == nullptr) return false;
-      args->tau_max = std::atof(v);
-    } else if (a == "--tau-min") {
-      if ((v = next("--tau-min")) == nullptr) return false;
-      args->tau_min = std::atof(v);
-    } else if (a == "--per-decade") {
-      if ((v = next("--per-decade")) == nullptr) return false;
-      args->per_decade = std::atoi(v);
-    } else if (a == "--machines") {
-      if ((v = next("--machines")) == nullptr) return false;
-      args->machines = std::atoi(v);
-    } else if (a == "--threads") {
-      if ((v = next("--threads")) == nullptr) return false;
-      args->threads = std::atoi(v);
-    } else if (a == "--net-latency") {
-      if ((v = next("--net-latency")) == nullptr) return false;
-      args->net_latency_sec = std::atof(v);
-      if (args->net_latency_sec < 0) {
-        std::fprintf(stderr, "--net-latency must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--net-latency-ticks") {
-      if ((v = next("--net-latency-ticks")) == nullptr) return false;
-      const long long ticks = std::atoll(v);
-      if (ticks < 0) {
-        std::fprintf(stderr, "--net-latency-ticks must be >= 0\n");
-        return false;
-      }
-      args->net_latency_ticks = static_cast<uint64_t>(ticks);
-    } else if (a == "--json") {
-      if ((v = next("--json")) == nullptr) return false;
-      args->json_path = v;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (args->tau_max <= 0 || args->tau_min <= 0 ||
-      args->tau_min > args->tau_max) {
-    std::fprintf(stderr, "need 0 < --tau-min <= --tau-max\n");
-    return false;
-  }
-  if (args->per_decade < 1) {
-    std::fprintf(stderr, "--per-decade must be >= 1\n");
-    return false;
-  }
-  return true;
+std::vector<Flag> Flags(Args* args) {
+  std::vector<Flag> flags = {
+      {"--dataset", "NAME", "bench registry name (Hyves-like, GSE1730-like)",
+       &args->dataset},
+      {"--tau-max", "F", "largest tau_time of the sweep", &args->tau_max},
+      {"--tau-min", "F", "smallest tau_time of the sweep", &args->tau_min},
+      {"--per-decade", "N", "sample points per decade", &args->per_decade},
+      {"--json", "PATH", "write the JSON series here (- = stdout)",
+       &args->json_path},
+  };
+  const std::vector<Flag> engine = EngineFlags(kTauSweep, &args->config);
+  flags.insert(flags.end(), engine.begin(), engine.end());
+  return flags;
 }
 
 /// Decade grid from tau_max down to (at least) tau_min, `per_decade`
@@ -143,8 +72,19 @@ std::vector<double> TauGrid(double tau_max, double tau_min,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
+  if (auto exit_code = ParseFlags(kSynopsis, Flags(&args), argc, argv)) {
+    return *exit_code;
+  }
+  if (args.tau_max <= 0 || args.tau_min <= 0 ||
+      args.tau_min > args.tau_max) {
+    return UsageError(kSynopsis, "need 0 < --tau-min <= --tau-max");
+  }
+  if (args.per_decade < 1) {
+    return UsageError(kSynopsis, "--per-decade must be >= 1");
+  }
+  if (Status valid = args.config.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "invalid configuration: %s\n",
+                 valid.ToString().c_str());
     return 2;
   }
 
@@ -178,14 +118,10 @@ int main(int argc, char** argv) {
   std::string json = "[\n";
   bool first = true;
   for (double tau : taus) {
-    EngineConfig config = ClusterPreset();
+    EngineConfig config = args.config;
     config.mining = spec->Mining();
     config.tau_split = spec->tau_split;
     config.tau_time = tau;
-    if (args.machines > 0) config.num_machines = args.machines;
-    if (args.threads > 0) config.threads_per_machine = args.threads;
-    config.net_latency_sec = args.net_latency_sec;
-    config.net_latency_ticks = args.net_latency_ticks;
     ParallelMiner miner(config);
     auto result = miner.Run(*graph);
     if (!result.ok()) {
