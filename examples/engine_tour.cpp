@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <unordered_set>
 
+#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "gthinker/engine.h"
 
@@ -106,8 +108,18 @@ int main() {
   config.mining.gamma = 0.9;        // unused by this app; must validate
   config.mining.min_size = 2;
 
+  // The engine serves a mapped .qcsr; pack the generated graph into an
+  // in-memory one.
+  auto snapshot = CsrSnapshot::FromGraph(graph);
+  if (!snapshot.ok()) {
+    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
+    return 1;
+  }
   TwoHopApp app;
-  Engine engine(&graph, config, &app);
+  Engine engine(std::make_unique<VertexTable>(*snapshot, config.num_machines,
+                                              /*local_rank=*/-1,
+                                              /*graph_memory_budget=*/0),
+                config, &app);
   auto report = engine.Run();
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());

@@ -112,6 +112,133 @@ class FileWriter {
   uint64_t offset_ = 0;
 };
 
+// Writes the snapshot image of `g` to `fd` from offset 0; `path` names
+// the file in errors. The arguments are checked by the caller.
+Status WriteImage(const Graph& g, const std::vector<uint64_t>& original_ids,
+                  int fd, const std::string& path,
+                  const CsrWriteOptions& opts) {
+  const uint32_t n = g.NumVertices();
+  const uint64_t m = g.NumEdges();
+  CsrHeader hdr;
+  hdr.page_size = opts.page_size;
+  hdr.num_vertices = n;
+  hdr.num_edges = m;
+  hdr.build_seed = opts.build_seed;
+  const uint64_t psz = opts.page_size;
+  hdr.sections[kCsrDegrees].bytes = uint64_t{n} * sizeof(uint32_t);
+  hdr.sections[kCsrOffsets].bytes = (uint64_t{n} + 1) * sizeof(uint64_t);
+  hdr.sections[kCsrOriginalIds].bytes = uint64_t{n} * sizeof(uint64_t);
+  hdr.sections[kCsrAdjacency].bytes = 2 * m * sizeof(VertexId);
+  uint64_t off = psz;  // header occupies page 0
+  for (CsrSectionDesc& s : hdr.sections) {
+    s.file_offset = off;
+    off = AlignUp(off + s.bytes, psz);
+  }
+  hdr.file_bytes =
+      hdr.sections[kCsrAdjacency].file_offset +
+      hdr.sections[kCsrAdjacency].bytes + sizeof(kCsrTailMagic);
+
+  FileWriter out(fd, path);
+
+  // Pass 1: header with a zero checksum; rewritten once sections land.
+  std::string header_img = EncodeHeader(hdr);
+  if (Status s = out.Append(header_img.data(), header_img.size()); !s.ok())
+    return s;
+
+  // Degrees.
+  if (Status s = out.PadTo(hdr.sections[kCsrDegrees].file_offset); !s.ok())
+    return s;
+  {
+    std::vector<uint32_t> degrees(n);
+    for (VertexId v = 0; v < n; ++v) degrees[v] = g.Degree(v);
+    hdr.sections[kCsrDegrees].checksum =
+        Fingerprint(reinterpret_cast<const char*>(degrees.data()),
+                    hdr.sections[kCsrDegrees].bytes);
+    if (Status s = out.Append(degrees.data(),
+                              hdr.sections[kCsrDegrees].bytes);
+        !s.ok())
+      return s;
+  }
+
+  // Offsets.
+  if (Status s = out.PadTo(hdr.sections[kCsrOffsets].file_offset); !s.ok())
+    return s;
+  {
+    std::vector<uint64_t> offsets(uint64_t{n} + 1, 0);
+    for (VertexId v = 0; v < n; ++v)
+      offsets[v + 1] = offsets[v] + g.Degree(v);
+    hdr.sections[kCsrOffsets].checksum =
+        Fingerprint(reinterpret_cast<const char*>(offsets.data()),
+                    hdr.sections[kCsrOffsets].bytes);
+    if (Status s = out.Append(offsets.data(),
+                              hdr.sections[kCsrOffsets].bytes);
+        !s.ok())
+      return s;
+  }
+
+  // Original ids (identity when the caller has none).
+  if (Status s = out.PadTo(hdr.sections[kCsrOriginalIds].file_offset);
+      !s.ok())
+    return s;
+  {
+    std::vector<uint64_t> ids;
+    if (original_ids.empty()) {
+      ids.resize(n);
+      for (VertexId v = 0; v < n; ++v) ids[v] = v;
+    } else {
+      ids = original_ids;
+    }
+    hdr.sections[kCsrOriginalIds].checksum =
+        Fingerprint(reinterpret_cast<const char*>(ids.data()),
+                    hdr.sections[kCsrOriginalIds].bytes);
+    if (Status s = out.Append(ids.data(),
+                              hdr.sections[kCsrOriginalIds].bytes);
+        !s.ok())
+      return s;
+  }
+
+  // Adjacency, streamed per vertex.
+  if (Status s = out.PadTo(hdr.sections[kCsrAdjacency].file_offset); !s.ok())
+    return s;
+  {
+    uint64_t fp = kFingerprintSeed;
+    for (VertexId v = 0; v < n; ++v) {
+      auto adj = g.Neighbors(v);
+      if (adj.empty()) continue;
+      const char* bytes = reinterpret_cast<const char*>(adj.data());
+      const size_t len = adj.size() * sizeof(VertexId);
+      fp = ExtendFingerprint(fp, bytes, len);
+      if (Status s = out.Append(bytes, len); !s.ok()) return s;
+    }
+    hdr.sections[kCsrAdjacency].checksum = fp;
+  }
+
+  // Tail sentinel.
+  if (Status s = out.Append(&kCsrTailMagic, sizeof(kCsrTailMagic)); !s.ok())
+    return s;
+  if (Status s = out.Flush(); !s.ok()) return s;
+  QCM_CHECK(out.offset() == hdr.file_bytes)
+      << "snapshot writer layout mismatch: wrote " << out.offset()
+      << " bytes, header declares " << hdr.file_bytes;
+
+  // Pass 2: final header with section checksums + header checksum.
+  header_img = EncodeHeader(hdr);
+  hdr.header_checksum =
+      Fingerprint(header_img.data(), kCsrHeaderBytes - sizeof(uint64_t));
+  header_img = EncodeHeader(hdr);
+  for (size_t done = 0; done < header_img.size();) {
+    const ssize_t w = ::pwrite(fd, header_img.data() + done,
+                               header_img.size() - done, done);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(path + ": pwrite header: " +
+                             std::string(std::strerror(errno)));
+    }
+    done += static_cast<size_t>(w);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* CsrSectionName(int section) {
@@ -135,146 +262,25 @@ Status WriteCsrSnapshot(const Graph& g,
         std::to_string(opts.page_size));
   }
   const uint32_t n = g.NumVertices();
-  const uint64_t m = g.NumEdges();
   if (!original_ids.empty() && original_ids.size() != n) {
     return Status::InvalidArgument(
         "original-id map has " + std::to_string(original_ids.size()) +
         " entries for a " + std::to_string(n) + "-vertex graph");
   }
 
-  CsrHeader hdr;
-  hdr.page_size = opts.page_size;
-  hdr.num_vertices = n;
-  hdr.num_edges = m;
-  hdr.build_seed = opts.build_seed;
-  const uint64_t psz = opts.page_size;
-  hdr.sections[kCsrDegrees].bytes = uint64_t{n} * sizeof(uint32_t);
-  hdr.sections[kCsrOffsets].bytes = (uint64_t{n} + 1) * sizeof(uint64_t);
-  hdr.sections[kCsrOriginalIds].bytes = uint64_t{n} * sizeof(uint64_t);
-  hdr.sections[kCsrAdjacency].bytes = 2 * m * sizeof(VertexId);
-  uint64_t off = psz;  // header occupies page 0
-  for (CsrSectionDesc& s : hdr.sections) {
-    s.file_offset = off;
-    off = AlignUp(off + s.bytes, psz);
-  }
-  hdr.file_bytes =
-      hdr.sections[kCsrAdjacency].file_offset +
-      hdr.sections[kCsrAdjacency].bytes + sizeof(kCsrTailMagic);
-
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::IOError(path + ": open: " +
                            std::string(std::strerror(errno)));
   }
-  FileWriter out(fd, path);
-  auto fail = [&](Status s) {
-    ::close(fd);
-    ::unlink(path.c_str());
-    return s;
-  };
-
-  // Pass 1: header with a zero checksum; rewritten once sections land.
-  std::string header_img = EncodeHeader(hdr);
-  if (Status s = out.Append(header_img.data(), header_img.size()); !s.ok())
-    return fail(s);
-
-  // Degrees.
-  if (Status s = out.PadTo(hdr.sections[kCsrDegrees].file_offset); !s.ok())
-    return fail(s);
-  {
-    std::vector<uint32_t> degrees(n);
-    for (VertexId v = 0; v < n; ++v) degrees[v] = g.Degree(v);
-    hdr.sections[kCsrDegrees].checksum =
-        Fingerprint(reinterpret_cast<const char*>(degrees.data()),
-                    hdr.sections[kCsrDegrees].bytes);
-    if (Status s = out.Append(degrees.data(),
-                              hdr.sections[kCsrDegrees].bytes);
-        !s.ok())
-      return fail(s);
-  }
-
-  // Offsets.
-  if (Status s = out.PadTo(hdr.sections[kCsrOffsets].file_offset); !s.ok())
-    return fail(s);
-  {
-    std::vector<uint64_t> offsets(uint64_t{n} + 1, 0);
-    for (VertexId v = 0; v < n; ++v)
-      offsets[v + 1] = offsets[v] + g.Degree(v);
-    hdr.sections[kCsrOffsets].checksum =
-        Fingerprint(reinterpret_cast<const char*>(offsets.data()),
-                    hdr.sections[kCsrOffsets].bytes);
-    if (Status s = out.Append(offsets.data(),
-                              hdr.sections[kCsrOffsets].bytes);
-        !s.ok())
-      return fail(s);
-  }
-
-  // Original ids (identity when the caller has none).
-  if (Status s = out.PadTo(hdr.sections[kCsrOriginalIds].file_offset);
-      !s.ok())
-    return fail(s);
-  {
-    std::vector<uint64_t> ids;
-    if (original_ids.empty()) {
-      ids.resize(n);
-      for (VertexId v = 0; v < n; ++v) ids[v] = v;
-    } else {
-      ids = original_ids;
-    }
-    hdr.sections[kCsrOriginalIds].checksum =
-        Fingerprint(reinterpret_cast<const char*>(ids.data()),
-                    hdr.sections[kCsrOriginalIds].bytes);
-    if (Status s = out.Append(ids.data(),
-                              hdr.sections[kCsrOriginalIds].bytes);
-        !s.ok())
-      return fail(s);
-  }
-
-  // Adjacency, streamed per vertex.
-  if (Status s = out.PadTo(hdr.sections[kCsrAdjacency].file_offset); !s.ok())
-    return fail(s);
-  {
-    uint64_t fp = kFingerprintSeed;
-    for (VertexId v = 0; v < n; ++v) {
-      auto adj = g.Neighbors(v);
-      if (adj.empty()) continue;
-      const char* bytes = reinterpret_cast<const char*>(adj.data());
-      const size_t len = adj.size() * sizeof(VertexId);
-      fp = ExtendFingerprint(fp, bytes, len);
-      if (Status s = out.Append(bytes, len); !s.ok()) return fail(s);
-    }
-    hdr.sections[kCsrAdjacency].checksum = fp;
-  }
-
-  // Tail sentinel.
-  if (Status s = out.Append(&kCsrTailMagic, sizeof(kCsrTailMagic)); !s.ok())
-    return fail(s);
-  if (Status s = out.Flush(); !s.ok()) return fail(s);
-  QCM_CHECK(out.offset() == hdr.file_bytes)
-      << "snapshot writer layout mismatch: wrote " << out.offset()
-      << " bytes, header declares " << hdr.file_bytes;
-
-  // Pass 2: final header with section checksums + header checksum.
-  header_img = EncodeHeader(hdr);
-  hdr.header_checksum =
-      Fingerprint(header_img.data(), kCsrHeaderBytes - sizeof(uint64_t));
-  header_img = EncodeHeader(hdr);
-  for (size_t done = 0; done < header_img.size();) {
-    const ssize_t w = ::pwrite(fd, header_img.data() + done,
-                               header_img.size() - done, done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return fail(Status::IOError(path + ": pwrite header: " +
-                                  std::string(std::strerror(errno))));
-    }
-    done += static_cast<size_t>(w);
-  }
-  if (::fsync(fd) != 0) {
-    return fail(Status::IOError(path + ": fsync: " +
-                                std::string(std::strerror(errno))));
+  Status s = WriteImage(g, original_ids, fd, path, opts);
+  if (s.ok() && ::fsync(fd) != 0) {
+    s = Status::IOError(path + ": fsync: " +
+                        std::string(std::strerror(errno)));
   }
   ::close(fd);
-  return Status::OK();
+  if (!s.ok()) ::unlink(path.c_str());
+  return s;
 }
 
 StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
@@ -284,6 +290,33 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
     return Status::IOError(path + ": open: " +
                            std::string(std::strerror(errno)));
   }
+  return Map(fd, path, opts);
+}
+
+StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::FromGraph(
+    const Graph& g) {
+  const std::string name =
+      "memfd:" + std::to_string(g.NumVertices()) + "-vertex graph";
+  const int fd = ::memfd_create("qcsr", MFD_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError(name + ": memfd_create: " +
+                           std::string(std::strerror(errno)));
+  }
+  CsrWriteOptions opts;
+  opts.page_size = kCsrMinPageSize;
+  if (Status s = WriteImage(g, {}, fd, name, opts); !s.ok()) {
+    ::close(fd);
+    return s;
+  }
+  // Just written from `g`: the structural checks in Map() still run, the
+  // section checksums need not.
+  OpenOptions written;
+  written.verify_sections = false;
+  return Map(fd, name, written);
+}
+
+StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Map(
+    int fd, const std::string& path, const OpenOptions& opts) {
   auto snap = std::shared_ptr<CsrSnapshot>(new CsrSnapshot());
   snap->path_ = path;
   snap->fd_ = fd;
@@ -403,8 +436,6 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
   }
   snap->map_ = static_cast<uint8_t*>(map);
   snap->map_len_ = h.file_bytes;
-  snap->degrees_ = reinterpret_cast<const uint32_t*>(
-      snap->map_ + h.sections[kCsrDegrees].file_offset);
   snap->offsets_ = reinterpret_cast<const uint64_t*>(
       snap->map_ + h.sections[kCsrOffsets].file_offset);
   snap->original_ids_ = reinterpret_cast<const uint64_t*>(
@@ -447,6 +478,21 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
                    ", computed " + Hex(fp) + ")"));
       }
     }
+  }
+
+  // After the checks above, only the offsets and adjacency sections are
+  // read on the hot path (Degree() comes from offsets). Drop the pages
+  // of the rest -- header, degrees, original ids -- and mark those
+  // ranges MADV_RANDOM, which also gives them VMAs of their own: the
+  // kernel may map a whole page-cache folio around a fault, but never
+  // past the faulting VMA, so serving rows does not map them back.
+  const uint64_t ids_at = h.sections[kCsrOriginalIds].file_offset;
+  const uint64_t unread[2][2] = {
+      {0, h.sections[kCsrOffsets].file_offset},
+      {ids_at, h.sections[kCsrAdjacency].file_offset - ids_at}};
+  for (const auto& [at, len] : unread) {
+    ::madvise(snap->map_ + at, len, MADV_RANDOM);
+    ::madvise(snap->map_ + at, len, MADV_DONTNEED);
   }
   return snap;
 }

@@ -4,6 +4,9 @@
 // external ids, laid out so a worker can mmap the file and touch only the
 // pages that hold its partition instead of text-parsing and transiently
 // materializing the full graph (ROADMAP "out-of-core graph storage").
+// It is the only form in which the engine reads a graph: a graph loaded
+// or generated in memory is packed into an anonymous one
+// (CsrSnapshot::FromGraph).
 //
 // File layout (all integers little-endian; every section starts on a
 // page_size boundary and is padded with zeros up to the next one):
@@ -19,7 +22,8 @@
 //     +40  4 x {u64 file_offset, u64 bytes, u64 fnv1a checksum}
 //          section table: degrees, offsets, original-ids, adjacency
 //     +136 u64  fnv1a checksum of header bytes [0, 136)
-//   degrees       u32[n]    per-vertex degree (replicated metadata)
+//   degrees       u32[n]    per-vertex degree (checksummed on open;
+//                           Degree() reads the offsets)
 //   offsets       u64[n+1]  adjacency entry offsets (CSR row starts)
 //   original-ids  u64[n]    dense id -> external id map
 //   adjacency     u32[2m]   concatenated sorted adjacency lists
@@ -119,6 +123,13 @@ class CsrSnapshot {
     return Open(path, OpenOptions{});
   }
 
+  /// Packs `g` (identity original ids, kCsrMinPageSize pages) into an
+  /// anonymous in-memory file (memfd_create) and maps it: how an
+  /// in-process engine run serves a Graph it loaded or generated. No
+  /// path exists on disk, so nothing outlives the process; path() reads
+  /// "memfd:<n>-vertex graph".
+  static StatusOr<std::shared_ptr<CsrSnapshot>> FromGraph(const Graph& g);
+
   ~CsrSnapshot();
   CsrSnapshot(const CsrSnapshot&) = delete;
   CsrSnapshot& operator=(const CsrSnapshot&) = delete;
@@ -132,7 +143,11 @@ class CsrSnapshot {
   /// Total bytes mapped (the whole file).
   uint64_t MappedBytes() const { return map_len_; }
 
-  uint32_t Degree(VertexId v) const { return degrees_[v]; }
+  /// From the row extents, like Graph::Degree (the degrees section is
+  /// only checksummed), so it always matches Neighbors(v).size().
+  uint32_t Degree(VertexId v) const {
+    return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
+  }
 
   /// CSR row start of v, in adjacency *entries* (not bytes).
   uint64_t AdjOffset(VertexId v) const { return offsets_[v]; }
@@ -143,28 +158,28 @@ class CsrSnapshot {
     return {adj_ + offsets_[v], adj_ + offsets_[v + 1]};
   }
 
-  /// Base of the mapping and of the adjacency section within it (the
-  /// paged store advises page residency against these).
+  /// Base of the mapping (the paged store advises page residency
+  /// against it).
   const uint8_t* map_base() const { return map_; }
-  const VertexId* adjacency_base() const { return adj_; }
 
-  /// Materializes a fully resident in-memory Graph (the qcm_mine
-  /// resident-load path; also the parity reference in tests).
+  /// Materializes a fully resident in-memory Graph (the input of the
+  /// Graph-based SerialMiner reference, e.g. qcm_mine --serial; also the
+  /// parity reference in tests).
   StatusOr<Graph> ToGraph() const;
-
-  std::vector<uint64_t> OriginalIdsVector() const {
-    return {original_ids_, original_ids_ + hdr_.num_vertices};
-  }
 
  private:
   CsrSnapshot() = default;
+
+  /// Validates and maps the snapshot open on `fd`, which the result (or
+  /// the error path) closes. `path` names the file in errors.
+  static StatusOr<std::shared_ptr<CsrSnapshot>> Map(
+      int fd, const std::string& path, const OpenOptions& opts);
 
   std::string path_;
   int fd_ = -1;
   uint8_t* map_ = nullptr;
   size_t map_len_ = 0;
   CsrHeader hdr_;
-  const uint32_t* degrees_ = nullptr;
   const uint64_t* offsets_ = nullptr;
   const uint64_t* original_ids_ = nullptr;
   const VertexId* adj_ = nullptr;

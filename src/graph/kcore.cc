@@ -64,28 +64,35 @@ namespace {
 
 /// Threshold peel shared by the Graph and snapshot overloads. Degrees
 /// come from the row extents, so a snapshot is peeled from exactly the
-/// adjacency ToGraph() would rebuild. degree[v] >= k doubles as "v is
-/// alive": a vertex is pushed once, when its degree first drops below k,
-/// and is never decremented again, so the cascade touches one array.
+/// adjacency ToGraph() would rebuild. Every row is checked once up front
+/// -- strictly ascending neighbor ids in [0, n), none the vertex itself,
+/// as a Graph guarantees -- so whatever serves the rows afterwards (the
+/// engine included) indexes only in range. degree[v] >= k doubles as "v
+/// is alive": a vertex is pushed once, when its degree first drops below
+/// k, and is never decremented again, so the cascade touches one array.
 template <typename G>
 Status PeelBelow(const G& g, uint32_t k, std::vector<uint8_t>* alive) {
   const uint32_t n = g.NumVertices();
   std::vector<uint32_t> degree(n);
   std::vector<VertexId> peeled;
   for (VertexId v = 0; v < n; ++v) {
-    degree[v] = static_cast<uint32_t>(g.Neighbors(v).size());
+    const auto row = g.Neighbors(v);
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (row[i] >= n || row[i] == v || (i > 0 && row[i] <= row[i - 1])) {
+        return Status::Corruption(
+            "vertex " + std::to_string(v) + " lists neighbor " +
+            std::to_string(row[i]) + " at position " + std::to_string(i) +
+            " (ids must ascend, differ from the vertex and be < " +
+            std::to_string(n) + ")");
+      }
+    }
+    degree[v] = static_cast<uint32_t>(row.size());
     if (degree[v] < k) peeled.push_back(v);
   }
   while (!peeled.empty()) {
     const VertexId v = peeled.back();
     peeled.pop_back();
     for (VertexId u : g.Neighbors(v)) {
-      if (u >= n) {
-        return Status::Corruption("vertex " + std::to_string(v) +
-                                  " lists neighbor " + std::to_string(u) +
-                                  " >= " + std::to_string(n) +
-                                  " vertices");
-      }
       if (degree[u] >= k && --degree[u] < k) peeled.push_back(u);
     }
   }

@@ -5,10 +5,11 @@
 // The size-threshold pruning (P2, Theorem 2) reduces the input graph to its
 // k-core with k = ceil(gamma * (tau_size - 1)) before any mining; the paper
 // reports this single preprocessing step as "a dominating factor to scale
-// beyond a small graph" (§4 T1). Every engine path installs the mask
-// before spawning: SerialMiner and ParallelMiner from the in-memory graph,
-// the cluster launcher from the .qcsr snapshot (shipped to ranks packed
-// with PackVertexMask).
+// beyond a small graph" (§4 T1). Every mining path installs the mask
+// before spawning: SerialMiner from its Graph; ParallelMiner and the
+// cluster launcher from the .qcsr snapshot the engine serves, with the one
+// snapshot peel (the launcher ships it to ranks packed with
+// PackVertexMask).
 
 #ifndef QCM_GRAPH_KCORE_H_
 #define QCM_GRAPH_KCORE_H_
@@ -33,7 +34,8 @@ std::vector<uint32_t> CoreDecomposition(const Graph& g);
 std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k);
 
 /// The same peel over a mapped snapshot; equals KCoreMask(*ToGraph(), k).
-/// Corruption if a scanned row lists a neighbor id >= NumVertices().
+/// Corruption unless every row lists strictly ascending neighbor ids
+/// below NumVertices(), none the vertex itself (each row is checked).
 StatusOr<std::vector<uint8_t>> KCoreMask(const CsrSnapshot& snapshot,
                                          uint32_t k);
 

@@ -229,17 +229,9 @@ void RecordStatsCounters(const WireStatsSample& s) {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine(const Graph* graph, EngineConfig config, App* app,
-               std::vector<uint8_t> alive)
-    : graph_(graph),
-      alive_(std::move(alive)),
-      config_(std::move(config)),
-      app_(app) {}
-
 Engine::Engine(std::unique_ptr<VertexTable> table, EngineConfig config,
                App* app, Transport* transport)
-    : graph_(nullptr),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       app_(app),
       transport_(transport),
       table_(std::move(table)) {}
@@ -568,18 +560,19 @@ StatusOr<EngineReport> Engine::Run() {
   }
   ran_ = true;
   QCM_RETURN_IF_ERROR(config_.Validate());
-  if (distributed()) {
-    if (config_.num_machines != transport_->world_size()) {
-      return Status::InvalidArgument(
-          "num_machines (" + std::to_string(config_.num_machines) +
-          ") must equal the transport world size (" +
-          std::to_string(transport_->world_size()) + ")");
-    }
-    QCM_CHECK(table_ != nullptr && table_->partitioned() &&
-              table_->local_rank() == transport_->rank() &&
-              table_->NumMachines() == config_.num_machines)
-        << "distributed engine needs a matching partitioned vertex table";
+  if (distributed() && config_.num_machines != transport_->world_size()) {
+    return Status::InvalidArgument(
+        "num_machines (" + std::to_string(config_.num_machines) +
+        ") must equal the transport world size (" +
+        std::to_string(transport_->world_size()) + ")");
   }
+  QCM_CHECK(table_ != nullptr &&
+            table_->NumMachines() == config_.num_machines &&
+            table_->local_rank() ==
+                (distributed() ? transport_->rank() : -1))
+      << "the engine needs a vertex table over config.num_machines "
+         "machines, partitioned to the transport's rank when distributed "
+         "and unpartitioned when simulated";
 
   // Spill directory.
   if (config_.spill_dir.empty()) {
@@ -629,10 +622,6 @@ StatusOr<EngineReport> Engine::Run() {
   }
 
   WallTimer wall;
-  if (!distributed()) {
-    table_ = std::make_unique<VertexTable>(graph_, config_.num_machines);
-    if (!alive_.empty()) table_->SetAliveMask(std::move(alive_));
-  }
   fabric_ = std::make_unique<CommFabric>(
       config_.num_machines, config_.net_latency_ticks,
       config_.net_latency_sec, &counters_, transport_);
@@ -641,18 +630,12 @@ StatusOr<EngineReport> Engine::Run() {
   // converge within a few deliveries yet absorb one-off stalls.
   rtt_ = std::make_unique<LinkRttTracker>(config_.num_machines, 0.25);
   fabric_->SetRttTracker(rtt_.get());
-  // Machines hosted by this process: all of them when simulated, exactly
-  // the transport's rank when distributed.
-  std::vector<int> local_machines;
-  if (distributed()) {
-    local_machines.push_back(transport_->rank());
-  } else {
-    for (int m = 0; m < config_.num_machines; ++m) {
-      local_machines.push_back(m);
-    }
-  }
+  // Machines hosted by this process: the ones whose adjacency the table
+  // serves -- all of them when simulated, the transport's rank when
+  // distributed.
   workers_.clear();
-  for (int m : local_machines) {
+  for (int m = 0; m < config_.num_machines; ++m) {
+    if (table_->partitioned() && m != table_->local_rank()) continue;
     auto w = std::make_unique<Worker>();
     w->id = m;
     w->data = std::make_unique<DataService>(
@@ -786,9 +769,7 @@ StatusOr<EngineReport> Engine::Run() {
     // already empty and the stats are final.
     report.counters.AddFlushStats(transport_->FlushStats());
   }
-  if (table_ != nullptr && table_->paged_store() != nullptr) {
-    report.counters.AddPagedStoreStats(table_->paged_store()->stats());
-  }
+  report.counters.AddPagedStoreStats(table_->paged_store()->stats());
   report.peak_rss_bytes = PeakRssBytes();
 
   // Size the gathered result vector once: growing it by doubling while

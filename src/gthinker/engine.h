@@ -34,6 +34,9 @@
 // sched/steal_planner.h, sized per link by the RTT EWMAs the fabric
 // feeds into a LinkRttTracker.
 //
+// Both modes serve the graph from one VertexTable over a mmap'd .qcsr
+// snapshot, built by the caller.
+//
 // Process-per-machine mode: constructed with a Transport and a
 // partitioned VertexTable, the engine hosts exactly ONE machine (the
 // transport's rank) of a real multi-process cluster. The compute path is
@@ -67,7 +70,6 @@
 #include "gthinker/task.h"
 #include "gthinker/task_queue.h"
 #include "gthinker/vertex_table.h"
-#include "graph/graph.h"
 #include "net/transport.h"
 #include "sched/rtt.h"
 #include "sched/scheduler.h"
@@ -77,20 +79,21 @@ namespace qcm {
 
 class Engine {
  public:
-  /// Simulated mode: all of config.num_machines live in this process.
-  /// `graph` and `app` must outlive the engine. A non-empty `alive` mask
-  /// (one entry per vertex) is installed with VertexTable::SetAliveMask.
-  Engine(const Graph* graph, EngineConfig config, App* app,
-         std::vector<uint8_t> alive = {});
-
+  /// Runs `app` over `table`, whose global k-core mask (if any) the
+  /// caller has installed with VertexTable::SetAliveMask. The table must
+  /// span config.num_machines machines. `app` must outlive the engine.
+  ///
+  /// Simulated mode (null `transport`): all of config.num_machines live
+  /// in this process over an unpartitioned table (local_rank -1).
+  ///
   /// Process-per-machine mode: this engine runs machine
   /// `transport->rank()` of a `transport->world_size()`-machine cluster
-  /// over a partitioned vertex table (config.num_machines must equal the
-  /// world size). `app` and `transport` must outlive the engine; the
-  /// transport must be connected but not yet started (Run() installs the
-  /// handlers and starts it).
+  /// over the table partitioned to that rank (config.num_machines must
+  /// equal the world size). `transport` must outlive the engine and be
+  /// connected but not yet started (Run() installs the handlers and
+  /// starts it).
   Engine(std::unique_ptr<VertexTable> table, EngineConfig config, App* app,
-         Transport* transport);
+         Transport* transport = nullptr);
 
   ~Engine();
 
@@ -150,9 +153,6 @@ class Engine {
   void MaybeFinish();
   bool SpawnExhausted() const;
 
-  const Graph* graph_;
-  /// Simulated mode's alive mask, moved into the table by Run().
-  std::vector<uint8_t> alive_;
   EngineConfig config_;
   App* app_;
   Transport* transport_ = nullptr;

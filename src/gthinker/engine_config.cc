@@ -220,7 +220,7 @@ const std::vector<EngineKnob>& EngineKnobs() {
       QCM_KNOB(record_task_log, nullptr, nullptr, 0,
                "record per-root task aggregates for the figure benches"),
       QCM_KNOB(checkpoint_dir, "--checkpoint-dir", "DIR", kQcmCluster,
-               "root of the per-rank progress logs (default: a temp dir)"),
+               "root of the per-rank progress logs (default: <log-dir>/ckpt)"),
       QCM_KNOB(checkpoint_interval_sec, "--checkpoint-interval", "F",
                kQcmCluster, "seconds between progress-log flushes"),
       QCM_KNOB(heartbeat_usec, "--heartbeat-usec", "N", kQcmCluster,

@@ -166,7 +166,8 @@ struct EngineConfig {
   /// names a packed .qcsr file: cluster workers mmap it and serve their
   /// partition straight from the mapping (qcm_cluster packs once and
   /// fills this in; a cluster job spec without it does not decode).
-  /// Single-process runs leave it empty and mine a resident Graph.
+  /// Single-process runs leave it empty: ParallelMiner serves the
+  /// snapshot it is handed.
   std::string graph_snapshot;
   /// Page size (bytes) qcm_pack stamps into new snapshots and the
   /// residency granularity of the paged store. Power of two, >= 4096.

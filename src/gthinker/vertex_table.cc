@@ -8,23 +8,16 @@
 
 namespace qcm {
 
-VertexTable::VertexTable(const Graph* graph, int num_machines)
-    : graph_(graph), num_machines_(num_machines), owned_(num_machines) {
-  for (VertexId v = 0; v < graph_->NumVertices(); ++v) {
-    owned_[Owner(v)].push_back(v);
-  }
-}
-
 VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
                          int num_machines, int local_rank,
                          uint64_t graph_memory_budget)
-    : graph_(nullptr),
-      num_machines_(num_machines),
+    : num_machines_(num_machines),
       local_rank_(local_rank),
       owned_(num_machines),
       snapshot_(std::move(snapshot)) {
   QCM_CHECK(snapshot_ != nullptr);
-  QCM_CHECK(local_rank >= -1 && local_rank < num_machines)
+  QCM_CHECK(num_machines >= 1 && local_rank >= -1 &&
+            local_rank < num_machines)
       << "bad local rank " << local_rank << "/" << num_machines;
   const uint32_t n = snapshot_->NumVertices();
   for (VertexId v = 0; v < n; ++v) {
@@ -45,7 +38,6 @@ void VertexTable::SetAliveMask(std::vector<uint8_t> alive) {
 }
 
 std::span<const VertexId> VertexTable::Adjacency(VertexId v) const {
-  if (graph_ != nullptr) return graph_->Neighbors(v);
   QCM_CHECK(local_rank_ < 0 || Owner(v) == local_rank_)
       << "adjacency of vertex " << v << " (owner " << Owner(v)
       << ") read on rank " << local_rank_

@@ -28,35 +28,26 @@
 #include "gthinker/task.h"
 #include "gthinker/vertex_cache.h"
 #include "graph/csr_snapshot.h"
-#include "graph/graph.h"
 #include "graph/paged_adjacency.h"
 
 namespace qcm {
 
-/// Hash partitioning of an immutable graph across machines.
-///
-/// Two backings share one interface:
-///   * Simulated (in-process) mode wraps the full shared Graph -- every
-///     machine's adjacency is readable because every "machine" lives in
-///     this process.
-///   * Snapshot mode serves a mmap'd .qcsr snapshot. Degrees of every
-///     vertex are readable (spawn thresholds and frontier qualification
-///     read remote degrees); with a local rank, only that rank's
-///     adjacency is, and reading a remote vertex's adjacency fails loudly
-///     -- exactly the discipline the pull protocol must satisfy.
+/// Hash partitioning of an immutable graph across machines, served
+/// straight out of a mmap'd .qcsr snapshot (a qcm_pack file, or
+/// CsrSnapshot::FromGraph for a graph built in memory) -- no full Graph is
+/// ever built, so startup peak RSS is the owned slice plus replicated
+/// metadata. Degrees of every vertex are readable (spawn thresholds and
+/// frontier qualification read remote degrees). A simulated table
+/// (local_rank -1) serves every machine's adjacency, because every
+/// "machine" lives in this process; a partitioned one serves only its
+/// rank's, and reading a remote vertex's adjacency fails loudly --
+/// exactly the discipline the pull protocol must satisfy.
 class VertexTable {
  public:
-  /// Simulated mode: the full graph, hash-partitioned across
-  /// `num_machines` in-process machines. `graph` must outlive the table.
-  VertexTable(const Graph* graph, int num_machines);
-
-  /// Snapshot mode: serves degrees and adjacency straight out of a
-  /// mmap'd .qcsr snapshot -- no transient full Graph is ever built, so
-  /// startup peak RSS is the owned slice plus replicated metadata.
   /// `local_rank` >= 0 is a partitioned table (owned adjacency only,
   /// remote reads fail loudly); -1 serves every vertex.
   /// `graph_memory_budget` > 0 bounds resident adjacency bytes via the
-  /// PagedAdjacencyStore; 0 keeps the partition's pages resident on use.
+  /// PagedAdjacencyStore; 0 serves direct mmap spans without locking.
   VertexTable(std::shared_ptr<CsrSnapshot> snapshot, int num_machines,
               int local_rank, uint64_t graph_memory_budget);
 
@@ -67,8 +58,7 @@ class VertexTable {
   int NumMachines() const { return num_machines_; }
 
   /// True in process-per-machine mode (only the local rank's adjacency
-  /// is readable). Simulated and single-process snapshot tables serve
-  /// every vertex and report false.
+  /// is readable). Simulated tables serve every vertex and report false.
   bool partitioned() const { return local_rank_ >= 0; }
 
   /// The rank whose adjacency this partition holds (-1 when simulated).
@@ -88,36 +78,31 @@ class VertexTable {
 
   uint32_t Degree(VertexId v) const {
     if (!alive_.empty() && alive_[v] == 0) return 0;
-    return graph_ != nullptr ? graph_->Degree(v) : snapshot_->Degree(v);
+    return snapshot_->Degree(v);
   }
 
-  uint32_t NumVertices() const {
-    return graph_ != nullptr ? graph_->NumVertices()
-                             : snapshot_->NumVertices();
-  }
+  uint32_t NumVertices() const { return snapshot_->NumVertices(); }
 
   /// Vertices owned by `machine`, ascending.
   const std::vector<VertexId>& OwnedVertices(int machine) const {
     return owned_[machine];
   }
 
-  /// Non-null in snapshot mode.
   const CsrSnapshot* snapshot() const { return snapshot_.get(); }
 
-  /// Non-null in snapshot mode: the paged local store (paging may be
-  /// disabled inside it when the budget is 0).
+  /// The paged local store (paging is disabled inside it when the budget
+  /// is 0).
   PagedAdjacencyStore* paged_store() const { return paged_.get(); }
 
  private:
-  const Graph* graph_;  // simulated mode; null in snapshot mode
   int num_machines_;
   int local_rank_ = -1;
   std::vector<std::vector<VertexId>> owned_;
   /// Global k-core membership; empty = every vertex alive.
   std::vector<uint8_t> alive_;
 
-  // Snapshot-mode storage: degrees/adjacency live in the mapping; the
-  // paged store manages adjacency residency under the budget.
+  // Degrees/adjacency live in the mapping; the paged store manages
+  // adjacency residency under the budget.
   std::shared_ptr<CsrSnapshot> snapshot_;
   std::unique_ptr<PagedAdjacencyStore> paged_;
 };

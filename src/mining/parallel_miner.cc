@@ -8,16 +8,28 @@
 namespace qcm {
 
 StatusOr<ParallelMineResult> ParallelMiner::Run(const Graph& graph) {
+  auto snapshot = CsrSnapshot::FromGraph(graph);
+  QCM_RETURN_IF_ERROR(snapshot.status());
+  return Run(std::move(snapshot).value());
+}
+
+StatusOr<ParallelMineResult> ParallelMiner::Run(
+    std::shared_ptr<CsrSnapshot> snapshot) {
   QCM_RETURN_IF_ERROR(config_.Validate());
   ParallelMineResult result;
   // (T1) size-threshold pruning: the engine sees only the global k-core.
   WallTimer kcore_timer;
-  std::vector<uint8_t> alive = KCoreMask(graph, config_.mining.MinDegreeK());
+  auto alive = KCoreMask(*snapshot, config_.mining.MinDegreeK());
+  QCM_RETURN_IF_ERROR(alive.status());
   result.kcore_seconds = kcore_timer.Seconds();
-  result.kcore_vertices = CountAlive(alive);
+  result.kcore_vertices = CountAlive(*alive);
 
+  auto table = std::make_unique<VertexTable>(
+      std::move(snapshot), config_.num_machines, /*local_rank=*/-1,
+      /*graph_memory_budget=*/0);
+  table->SetAliveMask(std::move(alive).value());
   QCApp app(config_);
-  Engine engine(&graph, config_, &app, std::move(alive));
+  Engine engine(std::move(table), config_, &app);
   auto report = engine.Run();
   QCM_RETURN_IF_ERROR(report.status());
 

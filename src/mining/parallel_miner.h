@@ -1,14 +1,17 @@
 // High-level facade: run the full parallel maximal quasi-clique pipeline
-// (spawn -> build -> mine -> decompose -> postprocess) on a graph and
-// return both the exact maximal result set and the engine's run report.
+// (spawn -> build -> mine -> decompose -> postprocess) on a mapped .qcsr
+// snapshot and return both the exact maximal result set and the engine's
+// run report.
 
 #ifndef QCM_MINING_PARALLEL_MINER_H_
 #define QCM_MINING_PARALLEL_MINER_H_
 
+#include <memory>
 #include <vector>
 
 #include "gthinker/engine.h"
 #include "gthinker/engine_config.h"
+#include "graph/csr_snapshot.h"
 #include "graph/graph.h"
 #include "quick/quasi_clique.h"
 #include "util/status.h"
@@ -43,8 +46,12 @@ class ParallelMiner {
  public:
   explicit ParallelMiner(EngineConfig config) : config_(std::move(config)) {}
 
-  /// Mines `graph` to completion: peels it to the global k-core with
-  /// k = config.mining.MinDegreeK(), then spawns only core vertices.
+  /// Mines the mapped `snapshot` to completion: peels it to the global
+  /// k-core with k = config.mining.MinDegreeK() (the cluster launcher's
+  /// peel), then spawns only core vertices.
+  StatusOr<ParallelMineResult> Run(std::shared_ptr<CsrSnapshot> snapshot);
+
+  /// Run() over CsrSnapshot::FromGraph(graph).
   StatusOr<ParallelMineResult> Run(const Graph& graph);
 
  private:

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/kcore.h"
 #include "gthinker/engine_config.h"
@@ -352,6 +353,107 @@ TEST(ClusterE2ETest, FailedRunKeepsItsDefaultLogDir) {
       cluster.output.substr(start, cluster.output.find('\n', start) - start);
   EXPECT_TRUE(std::filesystem::is_directory(log_dir)) << log_dir;
   std::filesystem::remove_all(log_dir);
+}
+
+// A config error or a malformed planted spec is caught before the
+// launcher packs anything or makes a log dir, default or given.
+TEST(ClusterE2ETest, InvalidConfigFailsBeforePacking) {
+  for (const std::string& source :
+       {std::string("--gen-planted ") + kGraphSpec + " --threads 0",
+        std::string("--gen-planted no_such_key=1")}) {
+    const RunResult cluster =
+        RunCommand(BinDir() + "/qcm_cluster " + source + " " +
+                   kMiningFlags + " --workers 2");
+    EXPECT_EQ(cluster.exit_code, 2) << source << "\n" << cluster.output;
+    EXPECT_EQ(cluster.output.find("packed"), std::string::npos)
+        << source << "\n" << cluster.output;
+    EXPECT_EQ(cluster.output.find("logs kept in"), std::string::npos)
+        << source << "\n" << cluster.output;
+  }
+
+  const std::string log_dir = ::testing::TempDir() + "/qcm_invalid_logs";
+  std::filesystem::remove_all(log_dir);
+  const RunResult given = RunCommand(
+      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
+      kMiningFlags + " --workers 2 --threads 0 --log-dir " + log_dir);
+  EXPECT_EQ(given.exit_code, 2) << given.output;
+  EXPECT_EQ(given.output.find("packed"), std::string::npos) << given.output;
+  EXPECT_FALSE(std::filesystem::exists(log_dir)) << log_dir;
+}
+
+// The benchmark's command: qcm_mine maps a qcm_pack file and mines it on
+// one and on the default two simulated machines; each digest equals the
+// --input and --serial runs on the same graph.
+TEST(ClusterE2ETest, QcmMineInputSnapshotMatchesInputAndSerial) {
+  const std::string edges = ::testing::TempDir() + "/qcm_mapped.txt";
+  const std::string snap = ::testing::TempDir() + "/qcm_mapped.qcsr";
+  {
+    auto spec = qcm::ParsePlantedSpec(kGraphSpec, 3);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    auto g = qcm::GenPlantedCommunities(*spec);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    std::ofstream out(edges);
+    for (qcm::VertexId v = 0; v < g->NumVertices(); ++v) {
+      for (qcm::VertexId u : g->Neighbors(v)) {
+        if (v < u) out << v << " " << u << "\n";
+      }
+    }
+  }
+  const RunResult packed = RunCommand(BinDir() + "/qcm_pack --input " +
+                                      edges + " --output " + snap);
+  ASSERT_EQ(packed.exit_code, 0) << packed.output;
+
+  const std::string flags = " --gamma 0.85 --min-size 8 --threads 2";
+  const RunResult serial =
+      RunCommand(BinDir() + "/qcm_mine --input " + edges + flags +
+                 " --serial");
+  ASSERT_EQ(serial.exit_code, 0) << serial.output;
+  const std::string want = Digest(serial.output);
+  ASSERT_EQ(want.size(), 16u) << serial.output;
+  EXPECT_EQ(serial.output.find("\n0 maximal"), std::string::npos)
+      << serial.output;
+
+  for (const std::string& run :
+       {"--input " + edges, "--input-snapshot " + snap + " --machines 1",
+        "--input-snapshot " + snap,
+        "--input-snapshot " + snap + " --serial"}) {
+    const RunResult mined =
+        RunCommand(BinDir() + "/qcm_mine " + run + flags);
+    ASSERT_EQ(mined.exit_code, 0) << run << "\n" << mined.output;
+    EXPECT_EQ(Digest(mined.output), want) << run << "\n" << mined.output;
+  }
+
+  // An out-of-range neighbor in a core vertex's row (one the peel keeps,
+  // so only the every-row check sees it) fails the run instead of
+  // reaching the engine. The metadata checksums still match.
+  uint64_t patch_at = 0;
+  uint32_t n = 0;
+  {
+    auto mapped = qcm::CsrSnapshot::Open(snap);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    auto core = qcm::KCoreMask(**mapped, 6);  // k of gamma 0.85, size 8
+    ASSERT_TRUE(core.ok()) << core.status().ToString();
+    n = (*mapped)->NumVertices();
+    qcm::VertexId v = 0;
+    while (v < n && (*core)[v] == 0) ++v;
+    ASSERT_LT(v, n);
+    patch_at =
+        (*mapped)->header().sections[qcm::kCsrAdjacency].file_offset +
+        (*mapped)->AdjOffset(v) * sizeof(qcm::VertexId);
+  }
+  {
+    std::fstream file(snap, std::ios::in | std::ios::out | std::ios::binary);
+    const qcm::VertexId bad = n + 7;
+    file.seekp(static_cast<std::streamoff>(patch_at));
+    file.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
+  }
+  const RunResult corrupt =
+      RunCommand(BinDir() + "/qcm_mine --input-snapshot " + snap + flags);
+  EXPECT_EQ(corrupt.exit_code, 1) << corrupt.output;
+  EXPECT_NE(corrupt.output.find("adjacency section"), std::string::npos)
+      << corrupt.output;
+  std::remove(edges.c_str());
+  std::remove(snap.c_str());
 }
 
 // Strict flag values: each malformed value exits 2 with the usage line

@@ -1,8 +1,8 @@
 // .qcsr snapshot format + paged adjacency store tests: byte-pinned header
 // layout, round-trip fidelity, corrupt-header / torn-tail / checksum-
-// mismatch rejection with file:offset errors, and digest-level parity
-// between resident, snapshot-mmap, and budget-constrained paged tables
-// (including a budget tight enough to force eviction churn).
+// mismatch rejection with file:offset errors, and parity of snapshot-mmap
+// and budget-constrained paged tables with the resident Graph (including
+// a budget tight enough to force eviction churn).
 
 #include <gtest/gtest.h>
 
@@ -237,22 +237,20 @@ TEST(CsrSnapshotTest, PagedStoreMatchesResidentUnderEvictionChurn) {
   ASSERT_TRUE(snap.ok());
 
   const int kMachines = 3;
-  const VertexTable resident(&g, kMachines);
   for (int rank = 0; rank < kMachines; ++rank) {
     // Two pages of budget against a multi-page partition: every pass over
     // the owned vertices must evict and repin mid-scan.
     VertexTable paged(*snap, kMachines, rank, /*graph_memory_budget=*/8192);
     ASSERT_TRUE(paged.partitioned());
-    ASSERT_NE(paged.paged_store(), nullptr);
 
     // Randomized access order, several passes: churn the CLOCK ring.
-    std::vector<VertexId> order = resident.OwnedVertices(rank);
+    std::vector<VertexId> order = paged.OwnedVertices(rank);
     std::mt19937 rng(rank + 1);
     for (int pass = 0; pass < 3; ++pass) {
       std::shuffle(order.begin(), order.end(), rng);
       for (VertexId v : order) {
-        ASSERT_EQ(paged.Degree(v), resident.Degree(v));
-        auto want = resident.Adjacency(v);
+        ASSERT_EQ(paged.Degree(v), g.Degree(v));
+        auto want = g.Neighbors(v);
         auto got = paged.Adjacency(v);
         ASSERT_EQ(got.size(), want.size()) << "vertex " << v;
         ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
@@ -334,17 +332,34 @@ TEST(CsrSnapshotTest, KCoreMaskRejectsOutOfRangeNeighbor) {
 
   auto snap = CsrSnapshot::Open(path);  // metadata-only validation
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  // k above every degree peels every vertex, so every row is scanned.
-  auto mask = KCoreMask(**snap, g.MaxDegree() + 1);
-  ASSERT_FALSE(mask.ok());
-  EXPECT_EQ(mask.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(mask.status().ToString().find("adjacency section"),
-            std::string::npos)
-      << mask.status().ToString();
+  // Every row is checked, peeled (k above every degree) or not (k = 0),
+  // for range and for order.
+  for (uint32_t k : {g.MaxDegree() + 1, 0u}) {
+    auto mask = KCoreMask(**snap, k);
+    ASSERT_FALSE(mask.ok()) << k;
+    EXPECT_EQ(mask.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(mask.status().ToString().find("adjacency section"),
+              std::string::npos)
+        << mask.status().ToString();
+  }
+  snap->reset();
+
+  // The same row with its first two ids swapped: in range, out of order.
+  bytes = ReadAll(path);
+  ASSERT_GE(g.Degree(0), 2u);
+  std::memcpy(&bytes[adj_off], &g.Neighbors(0)[1], sizeof(VertexId));
+  std::memcpy(&bytes[adj_off + 4], &g.Neighbors(0)[0], sizeof(VertexId));
+  WriteAll(path, bytes);
+  snap = CsrSnapshot::Open(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto unordered = KCoreMask(**snap, 0);
+  ASSERT_FALSE(unordered.ok());
+  EXPECT_EQ(unordered.status().code(), StatusCode::kCorruption);
 }
 
-// Every storage mode serves the alive mask the same way: peeled vertices
-// report degree 0, core vertices their degree, adjacency is untouched.
+// Partitioned and unpartitioned tables serve the alive mask the same way:
+// peeled vertices report degree 0, core vertices their degree, adjacency
+// is untouched.
 TEST(CsrSnapshotTest, AliveMaskZeroesOnlyPeeledDegrees) {
   const Graph g = MakePlanted(300, 17);
   const std::string path = TempPath("alive_mask.qcsr");
@@ -355,9 +370,11 @@ TEST(CsrSnapshotTest, AliveMaskZeroesOnlyPeeledDegrees) {
   ASSERT_GT(CountAlive(alive), 0u);
   ASSERT_LT(CountAlive(alive), g.NumVertices());
 
-  VertexTable simulated(&g, 2);
-  VertexTable mapped(*snap, 2, /*local_rank=*/0, /*graph_memory_budget=*/0);
-  for (VertexTable* table : {&simulated, &mapped}) {
+  VertexTable simulated(*snap, 2, /*local_rank=*/-1,
+                        /*graph_memory_budget=*/0);
+  VertexTable partitioned(*snap, 2, /*local_rank=*/0,
+                          /*graph_memory_budget=*/0);
+  for (VertexTable* table : {&simulated, &partitioned}) {
     table->SetAliveMask(alive);
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       EXPECT_EQ(table->Degree(v), alive[v] ? g.Degree(v) : 0u) << v;

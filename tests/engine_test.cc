@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
+#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "gthinker/engine.h"
 #include "mining/parallel_miner.h"
@@ -115,6 +117,16 @@ std::vector<VertexSet> BruteForceTriangles(const Graph& g) {
   return out;
 }
 
+/// The unpartitioned table a simulated engine of `machines` machines
+/// serves `g` from.
+std::unique_ptr<VertexTable> SimTable(const Graph& g, int machines) {
+  auto snapshot = CsrSnapshot::FromGraph(g);
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  return std::make_unique<VertexTable>(*snapshot, machines,
+                                       /*local_rank=*/-1,
+                                       /*graph_memory_budget=*/0);
+}
+
 EngineConfig BaseConfig() {
   EngineConfig config;
   config.mining.gamma = 0.9;   // unused by TriApp but must validate
@@ -125,7 +137,7 @@ EngineConfig BaseConfig() {
 
 std::vector<VertexSet> RunTriangles(const Graph& g, EngineConfig config) {
   TriApp app;
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, config.num_machines), config, &app);
   auto report = engine.Run();
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   auto results = std::move(report->results);
@@ -189,7 +201,7 @@ TEST(EngineTest, SpillCountersMoveWhenForced) {
   config.local_queue_capacity = 4;
   config.batch_size = 4;
   TriApp app;
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, config.num_machines), config, &app);
   auto report = engine.Run();
   ASSERT_TRUE(report.ok());
   // The iteration-2 fan-out (one subtask per pivot) bursts past the tiny
@@ -208,7 +220,7 @@ TEST(EngineTest, BigTaskRoutingBySizeHint) {
   config.threads_per_machine = 2;
   config.tau_split = 10;  // spawned tasks with degree > 10 are big
   TriApp app;
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, config.num_machines), config, &app);
   auto report = engine.Run();
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->counters.big_tasks, 0u);
@@ -321,7 +333,7 @@ TEST(EngineTest, StealBatchesBitIdenticalAcrossLatencies) {
     config.net_latency_ticks = lc.ticks;
     config.net_latency_sec = lc.sec;
     SkewedSlowTriApp app(kMachines);
-    Engine engine(&g, config, &app);
+    Engine engine(SimTable(g, config.num_machines), config, &app);
     auto report = engine.Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     auto results = std::move(report->results);
@@ -348,7 +360,7 @@ TEST(EngineTest, DisabledStealingDoesNotSpinTheStealThread) {
   config.threads_per_machine = 2;
   config.steal_period_sec = 10.0;  // would stall termination if slept on
   TriApp app;
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, config.num_machines), config, &app);
   WallTimer wall;
   auto report = engine.Run();
   ASSERT_TRUE(report.ok());
@@ -370,7 +382,7 @@ TEST(EngineTest, StealThreadReportsIdleTime) {
   // The slow app keeps the run alive long enough for the master to nap
   // through at least one balancing period.
   SkewedSlowTriApp app(2);
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, config.num_machines), config, &app);
   auto report = engine.Run();
   ASSERT_TRUE(report.ok());
   // The master existed and spent (almost all of) its life sleeping.
@@ -383,7 +395,7 @@ TEST(EngineTest, RemoteFetchesHappenWithMultipleMachines) {
   config.num_machines = 4;
   config.threads_per_machine = 1;
   TriApp app;
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, config.num_machines), config, &app);
   auto report = engine.Run();
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->counters.cache_misses, 0u);
@@ -394,7 +406,7 @@ TEST(EngineTest, RunTwiceIsAnError) {
   auto g = std::move(GenErdosRenyi(20, 40, 1)).value();
   EngineConfig config = BaseConfig();
   TriApp app;
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, config.num_machines), config, &app);
   ASSERT_TRUE(engine.Run().ok());
   EXPECT_FALSE(engine.Run().ok());
 }
@@ -404,7 +416,7 @@ TEST(EngineTest, InvalidConfigRejected) {
   EngineConfig config = BaseConfig();
   config.num_machines = 0;
   TriApp app;
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, 1), config, &app);
   EXPECT_FALSE(engine.Run().ok());
 }
 
@@ -414,7 +426,7 @@ TEST(EngineTest, ThreadSummariesCoverAllThreads) {
   config.num_machines = 2;
   config.threads_per_machine = 3;
   TriApp app;
-  Engine engine(&g, config, &app);
+  Engine engine(SimTable(g, config.num_machines), config, &app);
   auto report = engine.Run();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->threads.size(), 6u);

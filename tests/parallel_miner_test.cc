@@ -1,13 +1,19 @@
 // End-to-end correctness of the parallel pipeline:
 // for any machine/thread count, decomposition mode, tau_split/tau_time and
 // queue capacities, the maximal result set must equal the serial miner's
-// (and, on tiny graphs, the exhaustive oracle's).
+// (and, on tiny graphs, the exhaustive oracle's), whether the engine is
+// handed a Graph or a mapped snapshot.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/kcore.h"
 #include "mining/parallel_miner.h"
@@ -53,12 +59,57 @@ TEST(ParallelMinerTest, PaperFigure4MatchesOracle) {
   EXPECT_EQ(result.maximal, oracle);
 }
 
+size_t OpenFds() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                       std::filesystem::directory_iterator());
+}
+
+// Both engine entries -- Run(graph) and Run(snapshot) over
+// CsrSnapshot::FromGraph -- equal the oracle and the serial reference,
+// and the in-memory snapshot serves exactly the graph and leaves nothing
+// behind once released.
 TEST(ParallelMinerTest, MatchesOracleOnRandomTinyGraphs) {
+  const std::pair<double, uint32_t> grid[] = {
+      {0.6, 3}, {0.7, 3}, {0.8, 4}, {1.0, 3}};
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     auto g = std::move(GenErdosRenyi(14, 50, seed)).value();
-    auto result = ParallelRun(g, SmallConfig(0.7, 3));
-    auto oracle = std::move(NaiveMaximalQuasiCliques(g, 0.7, 3)).value();
-    EXPECT_EQ(result.maximal, oracle) << "seed=" << seed;
+    const size_t fds_before = OpenFds();
+    {
+      auto snapshot = CsrSnapshot::FromGraph(g);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      const CsrSnapshot& snap = **snapshot;
+      ASSERT_EQ(snap.NumVertices(), g.NumVertices());
+      EXPECT_EQ(snap.NumEdges(), g.NumEdges());
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        EXPECT_EQ(snap.Degree(v), g.Degree(v));
+        auto want = g.Neighbors(v);
+        auto got = snap.Neighbors(v);
+        EXPECT_TRUE(
+            std::equal(want.begin(), want.end(), got.begin(), got.end()))
+            << "seed=" << seed << " v=" << v;
+      }
+      EXPECT_EQ(snap.path().rfind("memfd:", 0), 0u) << snap.path();
+      EXPECT_FALSE(std::filesystem::exists(snap.path())) << snap.path();
+
+      for (const auto& [gamma, min_size] : grid) {
+        const std::string at = "seed=" + std::to_string(seed) +
+                               " gamma=" + std::to_string(gamma) +
+                               " min_size=" + std::to_string(min_size);
+        auto oracle =
+            std::move(NaiveMaximalQuasiCliques(g, gamma, min_size)).value();
+        EXPECT_EQ(SerialMaximal(g, SmallConfig(gamma, min_size).mining),
+                  oracle)
+            << at;
+        EXPECT_EQ(ParallelRun(g, SmallConfig(gamma, min_size)).maximal,
+                  oracle)
+            << at;
+        auto mapped =
+            ParallelMiner(SmallConfig(gamma, min_size)).Run(*snapshot);
+        ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+        EXPECT_EQ(mapped->maximal, oracle) << at;
+      }
+    }
+    EXPECT_EQ(OpenFds(), fds_before) << "seed=" << seed;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/csr_snapshot.h"
 #include "graph/ego_builder.h"
 #include "graph/generators.h"
 #include "gthinker/spill.h"
@@ -126,7 +127,10 @@ TEST(SpillManagerTest, RemoveAllWithFilesStillPendingDeletesThem) {
 
 TEST(VertexTableTest, PartitionsCoverAllVertices) {
   auto g = std::move(GenErdosRenyi(100, 300, 1)).value();
-  VertexTable table(&g, 4);
+  auto snapshot = CsrSnapshot::FromGraph(g);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  VertexTable table(*snapshot, 4, /*local_rank=*/-1,
+                    /*graph_memory_budget=*/0);
   size_t total = 0;
   for (int m = 0; m < 4; ++m) {
     for (VertexId v : table.OwnedVertices(m)) {

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "gthinker/comm.h"
 #include "gthinker/vertex_cache.h"
@@ -20,6 +22,13 @@
 
 namespace qcm {
 namespace {
+
+/// The in-memory snapshot a simulated table serves `g` from.
+std::shared_ptr<CsrSnapshot> Packed(const Graph& g) {
+  auto snapshot = CsrSnapshot::FromGraph(g);
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  return std::move(snapshot).value();
+}
 
 VertexCache::AdjPtr Adj(std::vector<VertexId> v) {
   return std::make_shared<const std::vector<VertexId>>(std::move(v));
@@ -111,7 +120,8 @@ TEST(VertexCacheTest, ShardedCacheStaysNearCapacity) {
 
 TEST(DataServiceTest, LocalVsRemoteFetch) {
   auto g = std::move(GenErdosRenyi(50, 200, 2)).value();
-  VertexTable table(&g, 2);
+  VertexTable table(Packed(g), 2, /*local_rank=*/-1,
+                    /*graph_memory_budget=*/0);
   EngineCounters counters;
   DataService svc(&table, /*machine=*/0, /*cache_capacity=*/1024, &counters);
 
@@ -137,7 +147,8 @@ TEST(DataServiceTest, LocalVsRemoteFetch) {
 
 TEST(DataServiceTest, EvictsBeyondCapacity) {
   auto g = std::move(GenErdosRenyi(400, 1200, 3)).value();
-  VertexTable table(&g, 2);
+  VertexTable table(Packed(g), 2, /*local_rank=*/-1,
+                    /*graph_memory_budget=*/0);
   EngineCounters counters;
   // Tiny capacity forces evictions.
   DataService svc(&table, /*machine=*/0, /*cache_capacity=*/16, &counters);
@@ -180,7 +191,8 @@ std::vector<TaskPtr> CompletePullRound(
 
 TEST(PullBrokerTest, RequestResponseBatchesPinsAndCaches) {
   auto g = std::move(GenErdosRenyi(60, 300, 4)).value();
-  VertexTable table(&g, 3);
+  VertexTable table(Packed(g), 3, /*local_rank=*/-1,
+                    /*graph_memory_budget=*/0);
   EngineCounters counters;
   DataService svc0(&table, 0, /*cache_capacity=*/1024, &counters);
   DataService svc1(&table, 1, /*cache_capacity=*/1024, &counters);
@@ -234,7 +246,8 @@ TEST(PullBrokerTest, RequestResponseBatchesPinsAndCaches) {
 
 TEST(PullBrokerTest, CachedRequestsTransferNothing) {
   auto g = std::move(GenErdosRenyi(40, 200, 5)).value();
-  VertexTable table(&g, 2);
+  VertexTable table(Packed(g), 2, /*local_rank=*/-1,
+                    /*graph_memory_budget=*/0);
   EngineCounters counters;
   DataService svc0(&table, 0, /*cache_capacity=*/1024, &counters);
   DataService svc1(&table, 1, /*cache_capacity=*/1024, &counters);
@@ -260,7 +273,8 @@ TEST(PullBrokerTest, CachedRequestsTransferNothing) {
 
 TEST(PullBrokerTest, SharedInFlightVertexRequestedOnce) {
   auto g = std::move(GenErdosRenyi(40, 200, 6)).value();
-  VertexTable table(&g, 2);
+  VertexTable table(Packed(g), 2, /*local_rank=*/-1,
+                    /*graph_memory_budget=*/0);
   EngineCounters counters;
   DataService svc0(&table, 0, /*cache_capacity=*/1024, &counters);
   DataService svc1(&table, 1, /*cache_capacity=*/1024, &counters);

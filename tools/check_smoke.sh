@@ -200,7 +200,7 @@ echo "check_smoke: OK -- scalar-kernel cluster digest matches" \
 # adjacency budget of two 4 KiB pages -- a small fraction of any rank's
 # partition. The digest must stay bit-identical to the resident run while
 # the pager demonstrably evicts, and the --stats rollup must report the
-# bounded aggregate peak RSS.
+# bounded aggregate peak RSS. qcm_mine then mines the same file.
 PACK_BIN="$(dirname "$BIN")/qcm_pack"
 if [[ -x "$PACK_BIN" ]]; then
   SNAP="$LOG_DIR/smoke_graph.qcsr"
@@ -245,6 +245,22 @@ if [[ -x "$PACK_BIN" ]]; then
     sed -n 's/^graph: .*aggregate peak rss \(.*\)$/\1/p' | tail -1)
   echo "check_smoke: OK -- snapshot+budget cluster digest matches" \
     "($evictions evictions, aggregate peak rss ${peak_rss:-unknown})"
+
+  # The simulated engine mining the mapped file itself (qcm_mine
+  # --input-snapshot, the benchmark's command) must match too.
+  mapped_out=$("$BIN" --input-snapshot "$SNAP" \
+    --gamma 0.85 --min-size 8 --machines 2 --threads 2 "$@" 2>&1)
+  echo "$mapped_out"
+  # A failed run prints no digest, so it fails this comparison too.
+  mapped_digest=$(printf '%s\n' "$mapped_out" |
+    sed -n 's/^result-digest: \([0-9a-f]\{16\}\)$/\1/p' | tail -1)
+  if [[ "$mapped_digest" != "$single_digest" ]]; then
+    echo "check_smoke: FAIL -- qcm_mine --input-snapshot digest" \
+      "'$mapped_digest' != --gen-planted digest $single_digest" >&2
+    exit 1
+  fi
+  echo "check_smoke: OK -- qcm_mine --input-snapshot digest matches" \
+    "($mapped_digest)"
 else
   echo "check_smoke: NOTE -- $PACK_BIN not built, skipping snapshot phase"
 fi

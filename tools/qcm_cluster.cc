@@ -95,6 +95,8 @@ struct Args {
   std::string input;
   std::string gen_planted;
   uint64_t seed = 1;
+  /// gen_planted parsed (in main, before anything is made).
+  PlantedConfig planted;
   std::string output;
   bool no_filter = false;
   bool stats = false;
@@ -190,17 +192,20 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-/// One cluster run with its worker logs (and the packed graph, unless
-/// --snapshot names one) under `log_dir`. Returns the exit code.
+/// One cluster run of the validated config with its worker logs under
+/// `log_dir`. `packs`: pack the source into config.graph_snapshot first
+/// (no --snapshot was given). `owns_ckpt_dir`: config.checkpoint_dir is
+/// the launcher's own, removed after a successful run. Returns the exit
+/// code.
 int Launch(Args* args, const std::string& worker_bin,
-           const std::string& log_dir) {
+           const std::string& log_dir, bool packs, bool owns_ckpt_dir) {
   EngineConfig& config = args->spec.config;
   const int num_workers = config.num_machines;
   // Pack the graph ONCE in the launcher and ship only the snapshot path:
   // workers mmap <log-dir>/graph.qcsr instead of each re-parsing /
   // regenerating and transiently materializing the full graph.
   // --snapshot names a pre-packed file, and then no source is read.
-  if (config.graph_snapshot.empty()) {
+  if (packs) {
     WallTimer pack_timer;
     Graph full;
     std::vector<uint64_t> original_ids;
@@ -216,13 +221,7 @@ int Launch(Args* args, const std::string& worker_bin,
       full = std::move(loaded->graph);
       original_ids = std::move(loaded->original_ids);
     } else {
-      auto parsed = ParsePlantedSpec(args->gen_planted, args->seed);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad planted spec: %s\n",
-                     parsed.status().ToString().c_str());
-        return 1;
-      }
-      auto generated = GenPlantedCommunities(parsed.value());
+      auto generated = GenPlantedCommunities(args->planted);
       if (!generated.ok()) {
         std::fprintf(stderr, "graph generation failed: %s\n",
                      generated.status().ToString().c_str());
@@ -231,7 +230,6 @@ int Launch(Args* args, const std::string& worker_bin,
       full = std::move(generated).value();
       opts.build_seed = args->seed;
     }
-    config.graph_snapshot = log_dir + "/graph.qcsr";
     Status packed =
         WriteCsrSnapshot(full, original_ids, config.graph_snapshot, opts);
     if (!packed.ok()) {
@@ -259,8 +257,8 @@ int Launch(Args* args, const std::string& worker_bin,
     // adjacency checksum costs little on top, and the ranks then only
     // check metadata. The file's actual page size wins over the flag: a
     // pre-packed --snapshot may have been built with a different
-    // --page-size, and the budget validation below must check against
-    // what the workers will map.
+    // --page-size, and the budget must hold one page of what the
+    // workers will map.
     CsrSnapshot::OpenOptions verify;
     verify.verify_adjacency = true;
     auto snap = CsrSnapshot::Open(config.graph_snapshot, verify);
@@ -270,6 +268,16 @@ int Launch(Args* args, const std::string& worker_bin,
       return 1;
     }
     config.graph_page_size = (*snap)->page_size();
+    if (config.graph_memory_budget > 0 &&
+        config.graph_memory_budget < config.graph_page_size) {
+      std::fprintf(stderr,
+                   "invalid configuration: graph_memory_budget %lld is "
+                   "smaller than one %lld-byte page of %s\n",
+                   static_cast<long long>(config.graph_memory_budget),
+                   static_cast<long long>(config.graph_page_size),
+                   config.graph_snapshot.c_str());
+      return 2;
+    }
     // (T1) global k-core pruning: ranks spawn and pull only core
     // vertices. The mask ships in the job spec, n bits.
     WallTimer kcore_timer;
@@ -285,31 +293,9 @@ int Launch(Args* args, const std::string& worker_bin,
     args->spec.kcore_mask = PackVertexMask(*alive);
   }
   // Checkpoint root shared by every rank (each keeps rank<R>/log under
-  // it). A launcher-owned temp dir is removed on success; a caller-
-  // provided one is left alone.
-  std::string& ckpt_dir = config.checkpoint_dir;
-  const bool owns_ckpt_dir = ckpt_dir.empty();
-  if (owns_ckpt_dir) {
-    char templ[] = "/tmp/qcm_ckpt_XXXXXX";
-    char* dir = ::mkdtemp(templ);
-    if (dir == nullptr) {
-      std::fprintf(stderr, "cannot create checkpoint directory\n");
-      return 1;
-    }
-    ckpt_dir = dir;
-  } else {
-    ::mkdir(ckpt_dir.c_str(), 0755);
-  }
-  // Surface contradictory settings with the validator's file:line message
-  // instead of shipping them to every worker first. Runs after the pack
-  // step and the checkpoint root, so every shipped field is seen.
-  if (Status valid = config.Validate(); !valid.ok()) {
-    std::fprintf(stderr, "invalid configuration: %s\n",
-                 valid.ToString().c_str());
-    std::error_code ec;
-    if (owns_ckpt_dir) std::filesystem::remove_all(ckpt_dir, ec);
-    return 2;
-  }
+  // it).
+  const std::string& ckpt_dir = config.checkpoint_dir;
+  ::mkdir(ckpt_dir.c_str(), 0755);
 
   // Launcher-side tracing must be live before the coordinator runs so
   // recovery spans (rank_declared_dead, recover_*) land in a ring. The
@@ -920,22 +906,49 @@ int main(int argc, char** argv) {
                  worker_bin.c_str());
     return 2;
   }
+  if (!args.gen_planted.empty() && config.graph_snapshot.empty()) {
+    auto spec = ParsePlantedSpec(args.gen_planted, args.seed);
+    if (!spec.ok()) return UsageError(kSynopsis, spec.status().ToString());
+    args.planted = *spec;
+  }
+  // The ranks get a snapshot and a checkpoint root: the given ones, or
+  // the launcher's own under the log dir. Without --log-dir that is a
+  // temp dir, removed after a successful run (and after a config error,
+  // which is reported before anything is packed).
+  std::string log_dir = args.log_dir;
+  if (log_dir.empty()) {
+    char templ[] = "/tmp/qcm_cluster_XXXXXX";
+    if (::mkdtemp(templ) == nullptr) {
+      std::fprintf(stderr, "cannot create log directory\n");
+      return 1;
+    }
+    log_dir = templ;
+  }
+  const bool packs = config.graph_snapshot.empty();
+  if (packs) config.graph_snapshot = log_dir + "/graph.qcsr";
+  // A --snapshot file's own page size replaces the flag once Launch has
+  // opened it (and checks the budget against it); until then, the
+  // smallest page is the one every valid file allows.
+  if (!packs) config.graph_page_size = kCsrMinPageSize;
+  const bool owns_ckpt_dir = config.checkpoint_dir.empty();
+  if (owns_ckpt_dir) config.checkpoint_dir = log_dir + "/ckpt";
+  if (Status valid = config.Validate(); !valid.ok()) {
+    if (args.log_dir.empty()) ::rmdir(log_dir.c_str());
+    std::fprintf(stderr, "invalid configuration: %s\n",
+                 valid.ToString().c_str());
+    return 2;
+  }
   if (!args.log_dir.empty()) {
-    ::mkdir(args.log_dir.c_str(), 0755);
-    return Launch(&args, worker_bin, args.log_dir);
+    ::mkdir(log_dir.c_str(), 0755);
+    return Launch(&args, worker_bin, log_dir, packs, owns_ckpt_dir);
   }
-  char templ[] = "/tmp/qcm_cluster_XXXXXX";
-  const char* log_dir = ::mkdtemp(templ);
-  if (log_dir == nullptr) {
-    std::fprintf(stderr, "cannot create log directory\n");
-    return 1;
-  }
-  const int exit_code = Launch(&args, worker_bin, log_dir);
+  const int exit_code =
+      Launch(&args, worker_bin, log_dir, packs, owns_ckpt_dir);
   if (exit_code == 0) {
     std::error_code ec;
     std::filesystem::remove_all(log_dir, ec);
   } else {
-    std::fprintf(stderr, "qcm_cluster: logs kept in %s\n", log_dir);
+    std::fprintf(stderr, "qcm_cluster: logs kept in %s\n", log_dir.c_str());
   }
   return exit_code;
 }

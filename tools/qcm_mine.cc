@@ -1,8 +1,9 @@
 // qcm_mine: command-line maximal quasi-clique miner.
 //
-// Load a SNAP-format edge list (or generate a synthetic graph), mine all
-// maximal gamma-quasi-cliques serially or on the simulated G-thinker
-// cluster, and write results / statistics.
+// Load a SNAP-format edge list, map a qcm_pack .qcsr snapshot, or
+// generate a synthetic graph; mine all maximal gamma-quasi-cliques
+// serially or on the simulated G-thinker cluster, and write results /
+// statistics.
 //
 // `qcm_mine --help` lists every flag with its default. The engine flags
 // come from the EngineConfig knob table (gthinker/engine_config.h), which
@@ -13,6 +14,7 @@
 // simulated and multi-process (qcm_cluster) runs.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -127,6 +129,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- Load or generate the graph. ----
+  // The engine serves a mapped .qcsr: the --input-snapshot file itself,
+  // or an in-memory pack of the loaded or generated graph. Only --serial
+  // mines a heap Graph.
+  std::shared_ptr<CsrSnapshot> snapshot;
   Graph graph;
   if (!args.input.empty()) {
     auto loaded = LoadEdgeList(args.input);
@@ -137,20 +143,23 @@ int main(int argc, char** argv) {
     }
     graph = std::move(loaded->graph);
   } else if (!args.input_snapshot.empty()) {
-    // Resident load from a qcm_pack .qcsr: no text parsing, checksummed.
     auto snap = CsrSnapshot::Open(args.input_snapshot);
     if (!snap.ok()) {
       std::fprintf(stderr, "snapshot open failed: %s\n",
                    snap.status().ToString().c_str());
       return 1;
     }
-    auto materialized = (*snap)->ToGraph();
-    if (!materialized.ok()) {
-      std::fprintf(stderr, "snapshot load failed: %s\n",
-                   materialized.status().ToString().c_str());
-      return 1;
+    snapshot = std::move(snap).value();
+    if (args.serial) {
+      auto materialized = snapshot->ToGraph();
+      if (!materialized.ok()) {
+        std::fprintf(stderr, "snapshot load failed: %s\n",
+                     materialized.status().ToString().c_str());
+        return 1;
+      }
+      graph = std::move(materialized).value();
+      snapshot.reset();
     }
-    graph = std::move(materialized).value();
   } else {
     auto spec = ParsePlantedSpec(args.gen_planted, args.seed);
     if (!spec.ok()) {
@@ -165,9 +174,22 @@ int main(int argc, char** argv) {
     }
     graph = std::move(generated).value();
   }
-  std::fprintf(stderr, "graph: %u vertices, %lu edges\n",
-               graph.NumVertices(),
-               static_cast<unsigned long>(graph.NumEdges()));
+  if (!args.serial && snapshot == nullptr) {
+    auto packed = CsrSnapshot::FromGraph(graph);
+    if (!packed.ok()) {
+      std::fprintf(stderr, "snapshot pack failed: %s\n",
+                   packed.status().ToString().c_str());
+      return 1;
+    }
+    snapshot = std::move(packed).value();
+    graph = Graph();  // the engine holds no second, heap copy
+  }
+  const uint32_t num_vertices =
+      snapshot != nullptr ? snapshot->NumVertices() : graph.NumVertices();
+  const uint64_t num_edges =
+      snapshot != nullptr ? snapshot->NumEdges() : graph.NumEdges();
+  std::fprintf(stderr, "graph: %u vertices, %lu edges\n", num_vertices,
+               static_cast<unsigned long>(num_edges));
 
   const MiningOptions& mining = args.config.mining;
 
@@ -199,7 +221,7 @@ int main(int argc, char** argv) {
     }
     seconds = report->total_seconds;
     if (args.stats) {
-      PrintKCore(report->kcore_size, graph.NumVertices(),
+      PrintKCore(report->kcore_size, num_vertices,
                  mining.MinDegreeK(), report->kcore_seconds);
       std::fprintf(stderr,
                    "serial: %lu roots, %lu search nodes, %lu candidates, "
@@ -218,7 +240,7 @@ int main(int argc, char** argv) {
     }
   } else {
     ParallelMiner miner(args.config);
-    auto result = miner.Run(graph);
+    auto result = miner.Run(std::move(snapshot));
     if (!result.ok()) {
       std::fprintf(stderr, "mining failed: %s\n",
                    result.status().ToString().c_str());
@@ -234,7 +256,7 @@ int main(int argc, char** argv) {
     results = args.no_filter ? std::move(result->report.results)
                              : std::move(result->maximal);
     if (args.stats) {
-      PrintKCore(result->kcore_vertices, graph.NumVertices(),
+      PrintKCore(result->kcore_vertices, num_vertices,
                  mining.MinDegreeK(), result->kcore_seconds);
       const EngineReport& r = result->report;
       std::fprintf(stderr,
