@@ -5,9 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
+#include "graph/kcore.h"
 #include "util/logging.h"
 #include "util/serde.h"
 
@@ -112,20 +114,28 @@ class FileWriter {
   uint64_t offset_ = 0;
 };
 
-// Writes the snapshot image of `g` to `fd` from offset 0; `path` names
-// the file in errors. The arguments are checked by the caller.
+// Writes the snapshot image of `g` to `fd` from offset 0, in degeneracy
+// order; `path` names the file in errors. The arguments are checked by
+// the caller.
 Status WriteImage(const Graph& g, const std::vector<uint64_t>& original_ids,
                   int fd, const std::string& path,
                   const CsrWriteOptions& opts) {
   const uint32_t n = g.NumVertices();
   const uint64_t m = g.NumEdges();
+  // Snapshot id i is order[i], the i-th vertex the bucket peel removes;
+  // rank inverts it.
+  std::vector<VertexId> order;
+  CoreDecomposition(g, &order);
+  std::vector<VertexId> rank(n);
+  for (VertexId i = 0; i < n; ++i) rank[order[i]] = i;
+
   CsrHeader hdr;
   hdr.page_size = opts.page_size;
   hdr.num_vertices = n;
   hdr.num_edges = m;
   hdr.build_seed = opts.build_seed;
   const uint64_t psz = opts.page_size;
-  hdr.sections[kCsrDegrees].bytes = uint64_t{n} * sizeof(uint32_t);
+  hdr.sections[kCsrOrder].bytes = uint64_t{n} * sizeof(VertexId);
   hdr.sections[kCsrOffsets].bytes = (uint64_t{n} + 1) * sizeof(uint64_t);
   hdr.sections[kCsrOriginalIds].bytes = uint64_t{n} * sizeof(uint64_t);
   hdr.sections[kCsrAdjacency].bytes = 2 * m * sizeof(VertexId);
@@ -145,78 +155,56 @@ Status WriteImage(const Graph& g, const std::vector<uint64_t>& original_ids,
   if (Status s = out.Append(header_img.data(), header_img.size()); !s.ok())
     return s;
 
-  // Degrees.
-  if (Status s = out.PadTo(hdr.sections[kCsrDegrees].file_offset); !s.ok())
-    return s;
-  {
-    std::vector<uint32_t> degrees(n);
-    for (VertexId v = 0; v < n; ++v) degrees[v] = g.Degree(v);
-    hdr.sections[kCsrDegrees].checksum =
-        Fingerprint(reinterpret_cast<const char*>(degrees.data()),
-                    hdr.sections[kCsrDegrees].bytes);
-    if (Status s = out.Append(degrees.data(),
-                              hdr.sections[kCsrDegrees].bytes);
-        !s.ok())
-      return s;
-  }
+  // Writes one whole section from memory and records its checksum.
+  auto write_section = [&](int id, const void* data) -> Status {
+    CsrSectionDesc& sec = hdr.sections[id];
+    QCM_RETURN_IF_ERROR(out.PadTo(sec.file_offset));
+    sec.checksum = Fingerprint(static_cast<const char*>(data), sec.bytes);
+    return out.Append(data, sec.bytes);
+  };
 
-  // Offsets.
-  if (Status s = out.PadTo(hdr.sections[kCsrOffsets].file_offset); !s.ok())
-    return s;
+  // Order: snapshot id -> caller id.
+  QCM_RETURN_IF_ERROR(write_section(kCsrOrder, order.data()));
+
+  // Offsets, rows in snapshot order.
   {
     std::vector<uint64_t> offsets(uint64_t{n} + 1, 0);
-    for (VertexId v = 0; v < n; ++v)
-      offsets[v + 1] = offsets[v] + g.Degree(v);
-    hdr.sections[kCsrOffsets].checksum =
-        Fingerprint(reinterpret_cast<const char*>(offsets.data()),
-                    hdr.sections[kCsrOffsets].bytes);
-    if (Status s = out.Append(offsets.data(),
-                              hdr.sections[kCsrOffsets].bytes);
-        !s.ok())
-      return s;
+    for (VertexId i = 0; i < n; ++i)
+      offsets[i + 1] = offsets[i] + g.Degree(order[i]);
+    QCM_RETURN_IF_ERROR(write_section(kCsrOffsets, offsets.data()));
   }
 
-  // Original ids (identity when the caller has none).
-  if (Status s = out.PadTo(hdr.sections[kCsrOriginalIds].file_offset);
-      !s.ok())
-    return s;
+  // Original ids by snapshot id (the caller id when the caller has none).
   {
-    std::vector<uint64_t> ids;
-    if (original_ids.empty()) {
-      ids.resize(n);
-      for (VertexId v = 0; v < n; ++v) ids[v] = v;
-    } else {
-      ids = original_ids;
-    }
-    hdr.sections[kCsrOriginalIds].checksum =
-        Fingerprint(reinterpret_cast<const char*>(ids.data()),
-                    hdr.sections[kCsrOriginalIds].bytes);
-    if (Status s = out.Append(ids.data(),
-                              hdr.sections[kCsrOriginalIds].bytes);
-        !s.ok())
-      return s;
+    std::vector<uint64_t> ids(n);
+    for (VertexId i = 0; i < n; ++i)
+      ids[i] = original_ids.empty() ? order[i] : original_ids[order[i]];
+    QCM_RETURN_IF_ERROR(write_section(kCsrOriginalIds, ids.data()));
   }
 
-  // Adjacency, streamed per vertex.
-  if (Status s = out.PadTo(hdr.sections[kCsrAdjacency].file_offset); !s.ok())
-    return s;
+  // Adjacency, streamed per row: each row mapped to snapshot ids and
+  // sorted.
+  QCM_RETURN_IF_ERROR(out.PadTo(hdr.sections[kCsrAdjacency].file_offset));
   {
     uint64_t fp = kFingerprintSeed;
-    for (VertexId v = 0; v < n; ++v) {
-      auto adj = g.Neighbors(v);
+    std::vector<VertexId> row;
+    for (VertexId i = 0; i < n; ++i) {
+      auto adj = g.Neighbors(order[i]);
       if (adj.empty()) continue;
-      const char* bytes = reinterpret_cast<const char*>(adj.data());
-      const size_t len = adj.size() * sizeof(VertexId);
+      row.clear();
+      for (VertexId u : adj) row.push_back(rank[u]);
+      std::sort(row.begin(), row.end());
+      const char* bytes = reinterpret_cast<const char*>(row.data());
+      const size_t len = row.size() * sizeof(VertexId);
       fp = ExtendFingerprint(fp, bytes, len);
-      if (Status s = out.Append(bytes, len); !s.ok()) return s;
+      QCM_RETURN_IF_ERROR(out.Append(bytes, len));
     }
     hdr.sections[kCsrAdjacency].checksum = fp;
   }
 
   // Tail sentinel.
-  if (Status s = out.Append(&kCsrTailMagic, sizeof(kCsrTailMagic)); !s.ok())
-    return s;
-  if (Status s = out.Flush(); !s.ok()) return s;
+  QCM_RETURN_IF_ERROR(out.Append(&kCsrTailMagic, sizeof(kCsrTailMagic)));
+  QCM_RETURN_IF_ERROR(out.Flush());
   QCM_CHECK(out.offset() == hdr.file_bytes)
       << "snapshot writer layout mismatch: wrote " << out.offset()
       << " bytes, header declares " << hdr.file_bytes;
@@ -243,7 +231,7 @@ Status WriteImage(const Graph& g, const std::vector<uint64_t>& original_ids,
 
 const char* CsrSectionName(int section) {
   switch (section) {
-    case kCsrDegrees: return "degrees";
+    case kCsrOrder: return "order";
     case kCsrOffsets: return "offsets";
     case kCsrOriginalIds: return "original-ids";
     case kCsrAdjacency: return "adjacency";
@@ -368,7 +356,8 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Map(
     return Status::Corruption(
         At(path, 4, "unsupported snapshot version " +
                         std::to_string(h.version) + " (this build reads v" +
-                        std::to_string(kCsrVersion) + ")"));
+                        std::to_string(kCsrVersion) +
+                        " only; re-pack the graph with qcm_pack)"));
   }
   if (h.page_size < kCsrMinPageSize || !IsPow2(h.page_size) ||
       h.page_size > (1u << 30)) {
@@ -393,7 +382,7 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Map(
   // Section geometry: expected sizes, page alignment, in-bounds.
   const uint64_t n = h.num_vertices;
   const uint64_t expected_bytes[kCsrNumSections] = {
-      n * sizeof(uint32_t), (n + 1) * sizeof(uint64_t), n * sizeof(uint64_t),
+      n * sizeof(VertexId), (n + 1) * sizeof(uint64_t), n * sizeof(uint64_t),
       2 * h.num_edges * sizeof(VertexId)};
   for (int i = 0; i < kCsrNumSections; ++i) {
     const CsrSectionDesc& s = h.sections[i];
@@ -436,6 +425,8 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Map(
   }
   snap->map_ = static_cast<uint8_t*>(map);
   snap->map_len_ = h.file_bytes;
+  snap->order_ = reinterpret_cast<const VertexId*>(
+      snap->map_ + h.sections[kCsrOrder].file_offset);
   snap->offsets_ = reinterpret_cast<const uint64_t*>(
       snap->map_ + h.sections[kCsrOffsets].file_offset);
   snap->original_ids_ = reinterpret_cast<const uint64_t*>(
@@ -480,9 +471,28 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Map(
     }
   }
 
+  // CallerId() may index the order section with any id < n: it must be
+  // a permutation. Checked after the checksums, so a flipped bit reads
+  // as a checksum mismatch when sections are verified.
+  {
+    std::vector<bool> seen(n, false);
+    for (uint64_t v = 0; v < n; ++v) {
+      const VertexId c = snap->order_[v];
+      if (c >= n || seen[c]) {
+        return Status::Corruption(
+            At(path,
+               h.sections[kCsrOrder].file_offset + v * sizeof(VertexId),
+               "order section is not a permutation: snapshot vertex " +
+                   std::to_string(v) + " maps to " + std::to_string(c)));
+      }
+      seen[c] = true;
+    }
+  }
+
   // After the checks above, only the offsets and adjacency sections are
-  // read on the hot path (Degree() comes from offsets). Drop the pages
-  // of the rest -- header, degrees, original ids -- and mark those
+  // read on the hot path (Degree() comes from offsets); the order section
+  // is read again only to hand results back in caller ids. Drop the pages
+  // of the rest -- header, order, original ids -- and mark those
   // ranges MADV_RANDOM, which also gives them VMAs of their own: the
   // kernel may map a whole page-cache folio around a fault, but never
   // past the faulting VMA, so serving rows does not map them back.
@@ -507,10 +517,27 @@ StatusOr<Graph> CsrSnapshot::ToGraph() const {
   edges.reserve(hdr_.num_edges);
   for (VertexId v = 0; v < hdr_.num_vertices; ++v) {
     for (VertexId u : Neighbors(v)) {
-      if (v < u) edges.emplace_back(v, u);
+      if (v < u) edges.emplace_back(CallerId(v), CallerId(u));
     }
   }
   return Graph::FromEdges(hdr_.num_vertices, std::move(edges));
+}
+
+Status CsrSnapshot::ToCallerIds(
+    std::vector<std::vector<VertexId>>* sets) const {
+  for (std::vector<VertexId>& set : *sets) {
+    for (VertexId& v : set) {
+      if (v >= hdr_.num_vertices) {
+        return Status::InvalidArgument(
+            path_ + ": result vertex " + std::to_string(v) +
+            " is not a vertex of this " +
+            std::to_string(hdr_.num_vertices) + "-vertex snapshot");
+      }
+      v = CallerId(v);
+    }
+    std::sort(set.begin(), set.end());
+  }
+  return Status::OK();
 }
 
 }  // namespace qcm

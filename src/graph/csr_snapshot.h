@@ -8,8 +8,19 @@
 // or generated in memory is packed into an anonymous one
 // (CsrSnapshot::FromGraph).
 //
-// File layout (all integers little-endian; every section starts on a
-// page_size boundary and is padded with zeros up to the next one):
+// Every snapshot is packed in degeneracy order: snapshot id i is the i-th
+// vertex the min-degree bucket peel removes (CoreDecomposition's peel
+// order). Quick's set enumeration lets a root extend only into larger
+// ids, so in this order each root extends only into the neighbors that
+// outlive it in the peel -- at most its core number of them -- and the
+// dense core sits in one run of ids at the end of the file. The order
+// section maps snapshot ids back to the ids of the Graph that was packed
+// (the caller ids); results leave the engine's callers in caller ids
+// (ToCallerIds, ToGraph).
+//
+// File layout, version 2 (all integers little-endian; every section
+// starts on a page_size boundary and is padded with zeros up to the next
+// one):
 //
 //   offset 0    header (144 bytes, zero-padded to page_size)
 //     +0   u32  magic "QCSR"
@@ -20,14 +31,17 @@
 //     +24  u64  build_seed (generator provenance; 0 for edge-list inputs)
 //     +32  u64  file_bytes (total size incl. tail sentinel)
 //     +40  4 x {u64 file_offset, u64 bytes, u64 fnv1a checksum}
-//          section table: degrees, offsets, original-ids, adjacency
+//          section table: order, offsets, original-ids, adjacency
 //     +136 u64  fnv1a checksum of header bytes [0, 136)
-//   degrees       u32[n]    per-vertex degree (checksummed on open;
-//                           Degree() reads the offsets)
+//   order         u32[n]    snapshot id -> caller id (a permutation)
 //   offsets       u64[n+1]  adjacency entry offsets (CSR row starts)
-//   original-ids  u64[n]    dense id -> external id map
-//   adjacency     u32[2m]   concatenated sorted adjacency lists
+//   original-ids  u64[n]    snapshot id -> external id map
+//   adjacency     u32[2m]   concatenated sorted adjacency lists, in
+//                           snapshot ids
 //   tail          u64       tail magic at file_bytes-8 (torn-tail guard)
+//
+// Version 1 (a degrees section in place of order, rows in caller order)
+// is rejected with an error naming the version.
 //
 // The adjacency section is deliberately last: a rank validates the three
 // metadata sections (a contiguous prefix) and then faults adjacency pages
@@ -48,7 +62,7 @@
 namespace qcm {
 
 inline constexpr uint32_t kCsrMagic = 0x52534351u;  // "QCSR" little-endian
-inline constexpr uint32_t kCsrVersion = 1;
+inline constexpr uint32_t kCsrVersion = 2;
 inline constexpr uint32_t kCsrMinPageSize = 4096;
 inline constexpr uint32_t kCsrDefaultPageSize = 1u << 16;
 inline constexpr uint64_t kCsrTailMagic = 0x4c494154'52534351ull;  // "QCSRTAIL"
@@ -56,7 +70,7 @@ inline constexpr size_t kCsrHeaderBytes = 144;
 
 /// Section ids, in file order.
 enum CsrSectionId : int {
-  kCsrDegrees = 0,
+  kCsrOrder = 0,
   kCsrOffsets = 1,
   kCsrOriginalIds = 2,
   kCsrAdjacency = 3,
@@ -88,9 +102,10 @@ struct CsrWriteOptions {
   uint64_t build_seed = 0;
 };
 
-/// Packs `g` into a .qcsr snapshot at `path`. `original_ids` maps dense
-/// ids back to external ids (identity when empty; otherwise must have
-/// exactly NumVertices() entries). Overwrites any existing file.
+/// Packs `g` into a .qcsr snapshot at `path`, in degeneracy order (see
+/// the layout above). `original_ids` maps the ids of `g` to external ids
+/// (identity when empty; otherwise must have exactly NumVertices()
+/// entries). Overwrites any existing file.
 Status WriteCsrSnapshot(const Graph& g,
                         const std::vector<uint64_t>& original_ids,
                         const std::string& path,
@@ -111,7 +126,7 @@ Status WriteCsrSnapshot(const Graph& g,
 class CsrSnapshot {
  public:
   struct OpenOptions {
-    /// Stream-verify the degrees/offsets/original-ids checksums.
+    /// Stream-verify the order/offsets/original-ids checksums.
     bool verify_sections = true;
     /// Also stream-verify the adjacency checksum (touches every page).
     bool verify_adjacency = false;
@@ -143,8 +158,8 @@ class CsrSnapshot {
   /// Total bytes mapped (the whole file).
   uint64_t MappedBytes() const { return map_len_; }
 
-  /// From the row extents, like Graph::Degree (the degrees section is
-  /// only checksummed), so it always matches Neighbors(v).size().
+  /// From the row extents, like Graph::Degree, so it always matches
+  /// Neighbors(v).size().
   uint32_t Degree(VertexId v) const {
     return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
@@ -154,6 +169,16 @@ class CsrSnapshot {
 
   uint64_t OriginalId(VertexId v) const { return original_ids_[v]; }
 
+  /// The id snapshot vertex v has in the packed Graph. Open() checked
+  /// that the order section is a permutation of [0, NumVertices()).
+  VertexId CallerId(VertexId v) const { return order_[v]; }
+
+  /// Rewrites vertex sets mined over this snapshot into caller ids, each
+  /// set sorted ascending again; reads the mapped order section per id.
+  /// InvalidArgument (and `sets` partly rewritten) if an id is out of
+  /// range.
+  Status ToCallerIds(std::vector<std::vector<VertexId>>* sets) const;
+
   std::span<const VertexId> Neighbors(VertexId v) const {
     return {adj_ + offsets_[v], adj_ + offsets_[v + 1]};
   }
@@ -162,9 +187,10 @@ class CsrSnapshot {
   /// against it).
   const uint8_t* map_base() const { return map_; }
 
-  /// Materializes a fully resident in-memory Graph (the input of the
-  /// Graph-based SerialMiner reference, e.g. qcm_mine --serial; also the
-  /// parity reference in tests).
+  /// Materializes a fully resident in-memory Graph in caller ids: the
+  /// exact Graph that was packed (the input of the Graph-based
+  /// SerialMiner reference, e.g. qcm_mine --serial, which so mines the
+  /// caller's order; also the parity reference in tests).
   StatusOr<Graph> ToGraph() const;
 
  private:
@@ -180,6 +206,7 @@ class CsrSnapshot {
   uint8_t* map_ = nullptr;
   size_t map_len_ = 0;
   CsrHeader hdr_;
+  const VertexId* order_ = nullptr;
   const uint64_t* offsets_ = nullptr;
   const uint64_t* original_ids_ = nullptr;
   const VertexId* adj_ = nullptr;

@@ -94,26 +94,53 @@ StatusOr<LoadedGraph> LoadEdgeList(const std::string& path) {
   }
   std::fclose(f);
 
-  // Compact ids by sorted rank.
-  std::vector<uint64_t> ids;
-  ids.reserve(raw_edges.size() * 2);
-  for (const auto& [u, v] : raw_edges) {
-    ids.push_back(u);
-    ids.push_back(v);
+  // Compact ids by sorted rank: a presence table and a prefix count when
+  // the largest id is at most kDenseIdFactor times the id occurrences
+  // (the table then stays O(m)), a sort of every occurrence otherwise.
+  // Both give the same ranks.
+  constexpr uint64_t kDenseIdFactor = 4;
+  uint64_t max_id = 0;
+  for (const auto& [u, v] : raw_edges) max_id = std::max({max_id, u, v});
+  const uint64_t occurrences = 2 * raw_edges.size();
+  const bool dense =
+      !raw_edges.empty() && max_id / kDenseIdFactor < occurrences;
+  std::vector<uint64_t> ids;    // rank -> external id
+  std::vector<VertexId> table;  // dense: external id -> presence, rank
+  if (dense) {
+    table.assign(max_id + 1, 0);
+    for (const auto& [u, v] : raw_edges) table[u] = table[v] = 1;
+    for (uint64_t x = 0; x <= max_id; ++x) {
+      if (table[x] != 0) ids.push_back(x);
+    }
+  } else {
+    ids.reserve(occurrences);
+    for (const auto& [u, v] : raw_edges) {
+      ids.push_back(u);
+      ids.push_back(v);
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   if (ids.size() > static_cast<size_t>(UINT32_MAX)) {
     return Status::OutOfRange(path + ": too many distinct vertex ids");
   }
-  auto rank = [&ids](uint64_t x) {
-    return static_cast<VertexId>(
-        std::lower_bound(ids.begin(), ids.end(), x) - ids.begin());
-  };
   std::vector<Edge> edges;
   edges.reserve(raw_edges.size());
-  for (const auto& [u, v] : raw_edges) {
-    edges.emplace_back(rank(u), rank(v));
+  if (dense) {
+    for (size_t r = 0; r < ids.size(); ++r) {
+      table[ids[r]] = static_cast<VertexId>(r);
+    }
+    for (const auto& [u, v] : raw_edges) {
+      edges.emplace_back(table[u], table[v]);
+    }
+  } else {
+    auto rank = [&ids](uint64_t x) {
+      return static_cast<VertexId>(
+          std::lower_bound(ids.begin(), ids.end(), x) - ids.begin());
+    };
+    for (const auto& [u, v] : raw_edges) {
+      edges.emplace_back(rank(u), rank(v));
+    }
   }
   auto graph = Graph::FromEdges(static_cast<uint32_t>(ids.size()),
                                 std::move(edges));

@@ -22,7 +22,8 @@ struct LoadedGraph {
 /// Loads a SNAP-format edge list. Lines starting with '#' or '%' are
 /// comments; each other line holds exactly two whitespace-separated
 /// non-negative integer ids. Ids are compacted by sorted rank
-/// (deterministic). A malformed line (sign, non-digit, missing field,
+/// (deterministic; a presence table when the ids are dense enough, a sort
+/// otherwise). A malformed line (sign, non-digit, missing field,
 /// trailing garbage, overflow, or an over-long line) fails the load with
 /// a Corruption status naming file:line and quoting the offending text.
 StatusOr<LoadedGraph> LoadEdgeList(const std::string& path);

@@ -1,10 +1,10 @@
 #include "graph/generators.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <unordered_set>
 
+#include "gthinker/engine_config.h"
 #include "util/rng.h"
 
 namespace qcm {
@@ -219,30 +219,36 @@ StatusOr<PlantedConfig> ParsePlantedSpec(const std::string& spec,
     }
     const std::string key = kv.substr(0, eq);
     const std::string value = kv.substr(eq + 1);
+    // Each value parses strictly, like a tool flag: the whole text must
+    // be one number of the field's type.
+    auto parse = [&key](const std::string& text, OptionRef field) {
+      Status s = ParseOptionValue(text, field);
+      if (s.ok()) return s;
+      return Status::InvalidArgument("planted-spec key " + key + ": " +
+                                     s.message());
+    };
     if (key == "n") {
-      config.num_vertices = static_cast<uint32_t>(std::atoi(value.c_str()));
+      QCM_RETURN_IF_ERROR(parse(value, &config.num_vertices));
     } else if (key == "communities") {
-      config.num_communities =
-          static_cast<uint32_t>(std::atoi(value.c_str()));
+      QCM_RETURN_IF_ERROR(parse(value, &config.num_communities));
     } else if (key == "size") {
       const size_t dots = value.find("..");
       if (dots == std::string::npos) {
-        config.community_min = config.community_max =
-            static_cast<uint32_t>(std::atoi(value.c_str()));
+        QCM_RETURN_IF_ERROR(parse(value, &config.community_min));
+        config.community_max = config.community_min;
       } else {
-        config.community_min =
-            static_cast<uint32_t>(std::atoi(value.substr(0, dots).c_str()));
-        config.community_max = static_cast<uint32_t>(
-            std::atoi(value.substr(dots + 2).c_str()));
+        QCM_RETURN_IF_ERROR(
+            parse(value.substr(0, dots), &config.community_min));
+        QCM_RETURN_IF_ERROR(
+            parse(value.substr(dots + 2), &config.community_max));
       }
     } else if (key == "density") {
-      config.intra_density = std::atof(value.c_str());
+      QCM_RETURN_IF_ERROR(parse(value, &config.intra_density));
     } else if (key == "overlap") {
-      config.overlap_fraction = std::atof(value.c_str());
+      QCM_RETURN_IF_ERROR(parse(value, &config.overlap_fraction));
     } else if (key == "edges") {
       config.background = BackgroundModel::kErdosRenyi;
-      config.background_edges =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
+      QCM_RETURN_IF_ERROR(parse(value, &config.background_edges));
     } else {
       return Status::InvalidArgument("unknown planted-spec key: " + key);
     }

@@ -19,7 +19,10 @@
 namespace qcm {
 
 /// Dense vertex identifier. The set-enumeration order of the mining
-/// algorithm (Figure 5 of the paper) is the natural order of these ids.
+/// algorithm (Figure 5 of the paper) is the natural order of the ids the
+/// miner sees: for the engine those are snapshot ids, the min-degree peel
+/// order CsrSnapshot packs every graph in (not the file's ids); only the
+/// Graph-based SerialMiner enumerates a Graph's own ids.
 using VertexId = uint32_t;
 
 /// An undirected edge as an unordered pair of endpoints.

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace qcm {
 
-std::vector<uint32_t> CoreDecomposition(const Graph& g) {
+std::vector<uint32_t> CoreDecomposition(const Graph& g,
+                                        std::vector<VertexId>* peel_order) {
   const uint32_t n = g.NumVertices();
   std::vector<uint32_t> degree(n), core(n);
   uint32_t max_degree = 0;
@@ -57,6 +59,9 @@ std::vector<uint32_t> CoreDecomposition(const Graph& g) {
       }
     }
   }
+  // Every move above lands past position i, so `order` now lists the
+  // vertices in the order they were peeled.
+  if (peel_order != nullptr) *peel_order = std::move(order);
   return core;
 }
 

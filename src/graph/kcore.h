@@ -25,15 +25,20 @@
 namespace qcm {
 
 /// Core number of every vertex (the largest k such that the vertex belongs
-/// to the k-core). O(n + m) time, O(n) extra space.
-std::vector<uint32_t> CoreDecomposition(const Graph& g);
+/// to the k-core). O(n + m) time, O(n) extra space. When `peel_order` is
+/// non-null it receives the vertices in the order the bucket peel removes
+/// them (a degeneracy order: each vertex has at most its core number of
+/// neighbors later in the order). The order depends only on `g`.
+std::vector<uint32_t> CoreDecomposition(
+    const Graph& g, std::vector<VertexId>* peel_order = nullptr);
 
 /// Membership mask of the k-core: out[v] != 0 iff v survives repeatedly
 /// deleting every vertex of remaining degree < k. One stack-driven peel:
 /// only the adjacency rows of peeled vertices are scanned.
 std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k);
 
-/// The same peel over a mapped snapshot; equals KCoreMask(*ToGraph(), k).
+/// The same peel over a mapped snapshot, in snapshot ids: the Graph
+/// overload over the snapshot's own rows.
 /// Corruption unless every row lists strictly ascending neighbor ids
 /// below NumVertices(), none the vertex itself (each row is checked).
 StatusOr<std::vector<uint8_t>> KCoreMask(const CsrSnapshot& snapshot,

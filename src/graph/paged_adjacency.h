@@ -11,7 +11,15 @@
 // valid for the store's lifetime (the EgoVertexSource contract only
 // requires validity until the next call, so this is strictly stronger),
 // and concurrent compers never see a dangling pointer; the budget bounds
-// resident set size, not correctness.
+// residency, not correctness.
+//
+// What the budget bounds is the store's frames: at most budget / page
+// size pages pinned or kept (plus transient overflow), not the process
+// RSS. The kernel may map a whole page-cache folio around one fault --
+// one read of one byte of a mapped 3 MB snapshot raised RssFile by
+// 1152 kB -- so the resident adjacency can exceed the budget by up to a
+// folio per page-in, and page_ins counts the store's page-ins, not the
+// pages the kernel mapped.
 //
 // Small-list / large-list split: lists of at most `inline_degree` entries
 // are copied once into a resident arena at construction (serving a

@@ -25,7 +25,7 @@ StatusOr<ParallelMineResult> ParallelMiner::Run(
   result.kcore_vertices = CountAlive(*alive);
 
   auto table = std::make_unique<VertexTable>(
-      std::move(snapshot), config_.num_machines, /*local_rank=*/-1,
+      snapshot, config_.num_machines, /*local_rank=*/-1,
       /*graph_memory_budget=*/0);
   table->SetAliveMask(std::move(alive).value());
   QCApp app(config_);
@@ -34,6 +34,11 @@ StatusOr<ParallelMineResult> ParallelMiner::Run(
   QCM_RETURN_IF_ERROR(report.status());
 
   result.report = std::move(report).value();
+  // The engine mined snapshot ids; the caller sees its own.
+  QCM_RETURN_IF_ERROR(snapshot->ToCallerIds(&result.report.results));
+  for (RootTaskAgg& agg : result.report.root_tasks) {
+    agg.root = snapshot->CallerId(agg.root);
+  }
   result.raw_candidates = result.report.results.size();
   WallTimer filter_timer;
   result.maximal =

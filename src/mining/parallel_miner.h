@@ -48,7 +48,9 @@ class ParallelMiner {
 
   /// Mines the mapped `snapshot` to completion: peels it to the global
   /// k-core with k = config.mining.MinDegreeK() (the cluster launcher's
-  /// peel), then spawns only core vertices.
+  /// peel), then spawns only core vertices. The engine mines snapshot
+  /// ids; `maximal`, `report.results` and `report.root_tasks` come back
+  /// in caller ids (CsrSnapshot::ToCallerIds).
   StatusOr<ParallelMineResult> Run(std::shared_ptr<CsrSnapshot> snapshot);
 
   /// Run() over CsrSnapshot::FromGraph(graph).

@@ -140,8 +140,9 @@ void ExpectTaskCountersAddUp(const std::string& json, size_t merged_at) {
 }
 
 // Out-of-core acceptance: pack once with qcm_pack, hand the snapshot to a
-// 3-process cluster whose per-rank adjacency budget is a tiny fraction of
-// the partition (two 4 KiB frames), and require the digest to stay
+// 3-process cluster whose per-rank adjacency budget (one 4 KiB frame) is
+// smaller than the pages the k-core's rows span -- in degeneracy order
+// they share the last few pages of the file -- and require the digest to stay
 // bit-identical to resident qcm_mine while the pager demonstrably churns
 // (evictions > 0 in the merged report).
 TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
@@ -162,7 +163,7 @@ TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
   const RunResult cluster = RunCommand(
       BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
       kMiningFlags + " --workers 3 --threads 2 --snapshot " + snap_path +
-      " --graph-page-size 4096 --graph-memory-budget 8192 --log-dir " +
+      " --graph-page-size 4096 --graph-memory-budget 4096 --log-dir " +
       log_dir + " --stats-json " + json_path);
   ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
 

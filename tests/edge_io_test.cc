@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/edge_io.h"
 
@@ -55,6 +57,62 @@ TEST(EdgeIoTest, SaveLoadRoundTrip) {
     auto b = reloaded->graph.Neighbors(v);
     ASSERT_EQ(a.size(), b.size()) << "v=" << v;
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "v=" << v;
+  }
+}
+
+// The same 24-vertex graph under three increasing id maps: dense ids
+// and ids with gaps compact through the presence table, sparse ids near
+// 2^63 through the sort. Each must give the sorted ranks, so the loaded
+// graphs are identical.
+TEST(EdgeIoTest, DenseGappedAndSparseIdsGiveIdenticalRanks) {
+  std::vector<std::pair<uint64_t, uint64_t>> base;
+  for (uint64_t v = 0; v < 24; ++v) {
+    base.emplace_back(v, (v + 1) % 24);
+    base.emplace_back(v, (v * 7 + 5) % 24);
+  }
+  struct IdMap {
+    const char* name;
+    uint64_t (*id)(uint64_t);
+  };
+  const IdMap maps[] = {
+      {"dense", [](uint64_t v) { return v; }},
+      {"gaps", [](uint64_t v) { return 5 * v + 3; }},
+      {"sparse", [](uint64_t v) { return (uint64_t{1} << 63) + 1000 * v; }},
+  };
+  Graph first;
+  for (const IdMap& map : maps) {
+    std::string text = "# ids: " + std::string(map.name) + "\n";
+    // Reversed, so the file order is not the rank order.
+    for (auto it = base.rbegin(); it != base.rend(); ++it) {
+      text += std::to_string(map.id(it->second)) + " " +
+              std::to_string(map.id(it->first)) + "\n";
+    }
+    auto loaded =
+        LoadEdgeList(WriteTempFile(std::string("ids_") + map.name, text));
+    ASSERT_TRUE(loaded.ok()) << map.name << ": "
+                             << loaded.status().ToString();
+    ASSERT_EQ(loaded->graph.NumVertices(), 24u) << map.name;
+    for (uint64_t v = 0; v < 24; ++v) {
+      EXPECT_EQ(loaded->original_ids[v], map.id(v)) << map.name;
+    }
+    for (const auto& [u, v] : base) {
+      if (u != v) {
+        EXPECT_TRUE(loaded->graph.HasEdge(static_cast<VertexId>(u),
+                                          static_cast<VertexId>(v)))
+            << map.name << " " << u << "-" << v;
+      }
+    }
+    if (first.NumVertices() == 0) {
+      first = std::move(loaded->graph);
+      continue;
+    }
+    ASSERT_EQ(loaded->graph.NumEdges(), first.NumEdges()) << map.name;
+    for (VertexId v = 0; v < 24; ++v) {
+      auto a = first.Neighbors(v);
+      auto b = loaded->graph.Neighbors(v);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << map.name << " v=" << v;
+    }
   }
 }
 

@@ -118,13 +118,26 @@ std::vector<VertexSet> BruteForceTriangles(const Graph& g) {
 }
 
 /// The unpartitioned table a simulated engine of `machines` machines
-/// serves `g` from.
+/// serves `g` from (in the snapshot's degeneracy order).
 std::unique_ptr<VertexTable> SimTable(const Graph& g, int machines) {
   auto snapshot = CsrSnapshot::FromGraph(g);
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   return std::make_unique<VertexTable>(*snapshot, machines,
                                        /*local_rank=*/-1,
                                        /*graph_memory_budget=*/0);
+}
+
+/// `g` relabelled into the snapshot ids its table serves.
+Graph InSnapshotIds(const Graph& g) {
+  auto snapshot = CsrSnapshot::FromGraph(g);
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (VertexId u : (*snapshot)->Neighbors(v)) {
+      if (v < u) edges.emplace_back(v, u);
+    }
+  }
+  return std::move(Graph::FromEdges(g.NumVertices(), edges)).value();
 }
 
 EngineConfig BaseConfig() {
@@ -135,12 +148,16 @@ EngineConfig BaseConfig() {
   return config;
 }
 
+/// The triangles of `g` the engine finds, mapped back to the ids of `g`.
 std::vector<VertexSet> RunTriangles(const Graph& g, EngineConfig config) {
+  auto table = SimTable(g, config.num_machines);
+  const CsrSnapshot* snapshot = table->snapshot();  // the engine keeps it
   TriApp app;
-  Engine engine(SimTable(g, config.num_machines), config, &app);
+  Engine engine(std::move(table), config, &app);
   auto report = engine.Run();
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   auto results = std::move(report->results);
+  EXPECT_TRUE(snapshot->ToCallerIds(&results).ok());
   std::sort(results.begin(), results.end());
   return results;
 }
@@ -300,10 +317,11 @@ class SkewedSlowTriApp : public TriApp {
   int machines_;
 };
 
-/// Triangles rooted at vertices owned by machine 0 of `machines`.
+/// Triangles rooted at vertices owned by machine 0 of `machines`, in the
+/// snapshot ids the engine spawns and owns by.
 std::vector<VertexSet> SkewedReference(const Graph& g, int machines) {
   std::vector<VertexSet> out;
-  for (const VertexSet& t : BruteForceTriangles(g)) {
+  for (const VertexSet& t : BruteForceTriangles(InSnapshotIds(g))) {
     if (t[0] % static_cast<uint32_t>(machines) == 0) out.push_back(t);
   }
   return out;
@@ -314,7 +332,10 @@ std::vector<VertexSet> SkewedReference(const Graph& g, int machines) {
 /// whatever delivery latency the fabric models.
 TEST(EngineTest, StealBatchesBitIdenticalAcrossLatencies) {
   const int kMachines = 4;
-  auto g = std::move(GenBarabasiAlbert(150, 4, 11)).value();
+  // Dense enough that machine 0's roots keep its global queue stocked:
+  // in the snapshot's degeneracy order a root fans out to at most its
+  // core number of pivots.
+  auto g = std::move(GenBarabasiAlbert(150, 8, 11)).value();
   const auto expected = SkewedReference(g, kMachines);
   ASSERT_FALSE(expected.empty());
 

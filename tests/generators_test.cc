@@ -130,6 +130,49 @@ TEST(PlantedTest, RejectsBadConfig) {
   EXPECT_FALSE(GenPlantedCommunities(config).ok());
 }
 
+TEST(PlantedSpecTest, ParsesEveryKey) {
+  auto spec = ParsePlantedSpec(
+      "n=2000,communities=5,size=10..14,density=0.95,overlap=0.3,"
+      "edges=4000",
+      7);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->num_vertices, 2000u);
+  EXPECT_EQ(spec->num_communities, 5u);
+  EXPECT_EQ(spec->community_min, 10u);
+  EXPECT_EQ(spec->community_max, 14u);
+  EXPECT_DOUBLE_EQ(spec->intra_density, 0.95);
+  EXPECT_DOUBLE_EQ(spec->overlap_fraction, 0.3);
+  EXPECT_EQ(spec->background, BackgroundModel::kErdosRenyi);
+  EXPECT_EQ(spec->background_edges, 4000u);
+  EXPECT_EQ(spec->seed, 7u);
+  spec = ParsePlantedSpec("size=12", 1);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->community_min, 12u);
+  EXPECT_EQ(spec->community_max, 12u);
+}
+
+// A value is one whole number of its field's type; the error names the
+// key instead of mining a graph built from a prefix of the text.
+TEST(PlantedSpecTest, RejectsMalformedValuesNamingTheKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"n=2000x,communities=5,size=10..14,density=0.95", "key n:"},
+      {"n=abc,communities=5", "key n:"},
+      {"n=2000,density=0.9.5", "key density:"},
+      {"n=2000,size=10..x", "key size:"},
+      {"n=2000,size=x..14", "key size:"},
+      {"n=-5", "key n:"},
+      {"n=2000,edges=1e3", "key edges:"},
+      {"n=2000,communities=", "key communities:"},
+  };
+  for (const auto& [text, key] : cases) {
+    auto spec = ParsePlantedSpec(text, 1);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(spec.status().ToString().find(key), std::string::npos)
+        << text << ": " << spec.status().ToString();
+  }
+}
+
 TEST(Figure4Test, MatchesPaperFacts) {
   Graph g = PaperFigure4Graph();
   EXPECT_EQ(g.NumVertices(), 9u);

@@ -426,6 +426,11 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
       ASSERT_TRUE(DecodeEngineReport(&dec, &decoded[r]).ok());
     }
     *out_merged = MergeEngineReports(decoded);
+    // The ranks mined snapshot ids; compare in the graph's own ids, as
+    // qcm_cluster does.
+    auto snap = CsrSnapshot::Open(snapshot_path);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ASSERT_TRUE((*snap)->ToCallerIds(&out_merged->results).ok());
     *out_results = FilterMaximal(out_merged->results);
     CanonicalizeResults(out_results);
   };

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <iterator>
+#include <numeric>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,8 +68,8 @@ size_t OpenFds() {
 
 // Both engine entries -- Run(graph) and Run(snapshot) over
 // CsrSnapshot::FromGraph -- equal the oracle and the serial reference,
-// and the in-memory snapshot serves exactly the graph and leaves nothing
-// behind once released.
+// and the in-memory snapshot serves exactly the graph, relabelled by its
+// order section, and leaves nothing behind once released.
 TEST(ParallelMinerTest, MatchesOracleOnRandomTinyGraphs) {
   const std::pair<double, uint32_t> grid[] = {
       {0.6, 3}, {0.7, 3}, {0.8, 4}, {1.0, 3}};
@@ -81,9 +83,12 @@ TEST(ParallelMinerTest, MatchesOracleOnRandomTinyGraphs) {
       ASSERT_EQ(snap.NumVertices(), g.NumVertices());
       EXPECT_EQ(snap.NumEdges(), g.NumEdges());
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        EXPECT_EQ(snap.Degree(v), g.Degree(v));
-        auto want = g.Neighbors(v);
-        auto got = snap.Neighbors(v);
+        const VertexId c = snap.CallerId(v);
+        EXPECT_EQ(snap.Degree(v), g.Degree(c));
+        std::vector<VertexId> got;
+        for (VertexId u : snap.Neighbors(v)) got.push_back(snap.CallerId(u));
+        std::sort(got.begin(), got.end());
+        auto want = g.Neighbors(c);
         EXPECT_TRUE(
             std::equal(want.begin(), want.end(), got.begin(), got.end()))
             << "seed=" << seed << " v=" << v;
@@ -110,6 +115,48 @@ TEST(ParallelMinerTest, MatchesOracleOnRandomTinyGraphs) {
       }
     }
     EXPECT_EQ(OpenFds(), fds_before) << "seed=" << seed;
+  }
+}
+
+// The vertex order is not an input: the same graph under a seeded random
+// relabelling mines to the same maximal sets once mapped back. Run(graph)
+// and Run(permuted) each pack in their own degeneracy order; SerialMiner
+// mines the graph's own order.
+TEST(ParallelMinerTest, MatchesOracleUnderRandomRelabelling) {
+  const std::pair<double, uint32_t> grid[] = {{0.6, 3}, {0.8, 4}, {1.0, 3}};
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const Graph g = std::move(GenErdosRenyi(16, 60, seed)).value();
+    std::vector<VertexId> perm(g.NumVertices());
+    std::iota(perm.begin(), perm.end(), 0);
+    std::shuffle(perm.begin(), perm.end(), std::mt19937_64(seed));
+    std::vector<Edge> edges;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      for (VertexId u : g.Neighbors(v)) {
+        if (v < u) edges.emplace_back(perm[v], perm[u]);
+      }
+    }
+    const Graph permuted =
+        std::move(Graph::FromEdges(g.NumVertices(), edges)).value();
+    std::vector<VertexId> unperm(g.NumVertices());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) unperm[perm[v]] = v;
+
+    for (const auto& [gamma, min_size] : grid) {
+      const std::string at = "seed=" + std::to_string(seed) +
+                             " gamma=" + std::to_string(gamma) +
+                             " min_size=" + std::to_string(min_size);
+      const EngineConfig config = SmallConfig(gamma, min_size);
+      auto oracle =
+          std::move(NaiveMaximalQuasiCliques(g, gamma, min_size)).value();
+      EXPECT_EQ(SerialMaximal(g, config.mining), oracle) << at;
+      EXPECT_EQ(ParallelRun(g, config).maximal, oracle) << at;
+      std::vector<VertexSet> back = ParallelRun(permuted, config).maximal;
+      for (VertexSet& set : back) {
+        for (VertexId& v : set) v = unperm[v];
+        std::sort(set.begin(), set.end());
+      }
+      CanonicalizeResults(&back);
+      EXPECT_EQ(back, oracle) << at;
+    }
   }
 }
 

@@ -13,11 +13,15 @@
 #include <sys/stat.h>
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gthinker/checkpoint.h"
@@ -438,6 +442,17 @@ std::string Digest(const std::string& output) {
   return output.substr(pos + needle.size(), 16);
 }
 
+/// The /tmp/qcm_spill_* directories that exist now.
+std::set<std::string> TmpSpillDirs() {
+  std::set<std::string> dirs;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator("/tmp", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("qcm_spill_", 0) == 0) dirs.insert(entry.path().string());
+  }
+  return dirs;
+}
+
 TEST(RecoveryE2ETest, KilledWorkerRunMatchesCrashFreeDigest) {
   const std::string bin = QCM_BIN_DIR;
   const std::string json_path = ::testing::TempDir() + "/qcm_recovery.json";
@@ -451,10 +466,25 @@ TEST(RecoveryE2ETest, KilledWorkerRunMatchesCrashFreeDigest) {
   const std::string baseline_digest = Digest(baseline.output);
   ASSERT_EQ(baseline_digest.size(), 16u) << baseline.output;
 
+  const std::set<std::string> spill_before = TmpSpillDirs();
   const RunResult injected =
       RunCommand("QCM_SMOKE_KILL_RANK=1 " + bin + common +
                  " --stats-json " + json_path);
   ASSERT_EQ(injected.exit_code, 0) << injected.output;
+  // The killed rank spilled under the launcher's log dir, not /tmp: no
+  // /tmp/qcm_spill_* dir made during the run outlives it. (Tests running
+  // beside this one make and remove their own; give those time to go.)
+  std::vector<std::string> left;
+  for (int wait_ms = 0; wait_ms <= 5000; wait_ms += 100) {
+    left.clear();
+    for (const std::string& dir : TmpSpillDirs()) {
+      if (spill_before.count(dir) == 0) left.push_back(dir);
+    }
+    if (left.empty()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_TRUE(left.empty()) << left.size() << " new spill dir(s), e.g. "
+                            << left.front();
   // The injection must have actually fired and been recovered from --
   // a run where the kill silently no-ops would vacuously "pass".
   EXPECT_NE(injected.output.find("fault injection: SIGKILL rank 1"),

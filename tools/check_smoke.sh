@@ -197,8 +197,9 @@ echo "check_smoke: OK -- scalar-kernel cluster digest matches" \
 # ---- Out-of-core snapshot phase ----------------------------------------
 # Pack the same graph into a checksummed .qcsr snapshot (qcm_pack
 # --verify re-reads every section), then mine it with a per-rank
-# adjacency budget of two 4 KiB pages -- a small fraction of any rank's
-# partition. The digest must stay bit-identical to the resident run while
+# adjacency budget of one 4 KiB page. The snapshot is in degeneracy
+# order, so the k-core's rows share the last few pages of the file; one
+# frame is less than the two pages they span. The digest must stay bit-identical to the resident run while
 # the pager demonstrably evicts, and the --stats rollup must report the
 # bounded aggregate peak RSS. qcm_mine then mines the same file.
 PACK_BIN="$(dirname "$BIN")/qcm_pack"
@@ -217,7 +218,7 @@ if [[ -x "$PACK_BIN" ]]; then
   oocsr_out=$("$CLUSTER_BIN" \
     --gen-planted n=2000,communities=5,size=10..14,density=0.95 \
     --gamma 0.85 --min-size 8 --workers 3 --threads 2 --stats \
-    --snapshot "$SNAP" --graph-page-size 4096 --graph-memory-budget 8192 \
+    --snapshot "$SNAP" --graph-page-size 4096 --graph-memory-budget 4096 \
     --log-dir "$LOG_DIR" "$@" 2>&1)
   oocsr_status=$?
   echo "$oocsr_out"
@@ -261,6 +262,26 @@ if [[ -x "$PACK_BIN" ]]; then
   fi
   echo "check_smoke: OK -- qcm_mine --input-snapshot digest matches" \
     "($mapped_digest)"
+
+  # --serial rebuilds the packed graph in its own ids from the file's
+  # order section (CsrSnapshot::ToGraph) and mines that order with the
+  # single-thread SerialMiner: it must give this graph's baseline digest,
+  # the one every phase above matched.
+  BASELINE_DIGEST=3f0fb8569e7dc913
+  serial_out=$("$BIN" --input-snapshot "$SNAP" --serial \
+    --gamma 0.85 --min-size 8 2>&1)
+  echo "$serial_out"
+  serial_digest=$(printf '%s\n' "$serial_out" |
+    sed -n 's/^result-digest: \([0-9a-f]\{16\}\)$/\1/p' | tail -1)
+  if [[ "$serial_digest" != "$BASELINE_DIGEST" ||
+        "$single_digest" != "$BASELINE_DIGEST" ]]; then
+    echo "check_smoke: FAIL -- qcm_mine --input-snapshot --serial digest" \
+      "'$serial_digest' / --gen-planted digest $single_digest != baseline" \
+      "$BASELINE_DIGEST" >&2
+    exit 1
+  fi
+  echo "check_smoke: OK -- qcm_mine --input-snapshot --serial digest" \
+    "matches the baseline ($serial_digest)"
 else
   echo "check_smoke: NOTE -- $PACK_BIN not built, skipping snapshot phase"
 fi

@@ -195,8 +195,9 @@ std::string JsonEscape(const std::string& s) {
 /// One cluster run of the validated config with its worker logs under
 /// `log_dir`. `packs`: pack the source into config.graph_snapshot first
 /// (no --snapshot was given). `owns_ckpt_dir`: config.checkpoint_dir is
-/// the launcher's own, removed after a successful run. Returns the exit
-/// code.
+/// the launcher's own, removed after a successful run (as is
+/// config.spill_dir, the ranks' spill files under `log_dir`). Returns the
+/// exit code.
 int Launch(Args* args, const std::string& worker_bin,
            const std::string& log_dir, bool packs, bool owns_ckpt_dir) {
   EngineConfig& config = args->spec.config;
@@ -707,6 +708,25 @@ int Launch(Args* args, const std::string& worker_bin,
     }
   }
   EngineReport merged = MergeEngineReports(rank_reports);
+  // The ranks mined snapshot ids; results and root aggregates leave the
+  // launcher in the ids of the packed graph. The order section is read
+  // through a fresh mapping (already verified before the ranks started).
+  {
+    CsrSnapshot::OpenOptions mapped_only;
+    mapped_only.verify_sections = false;
+    auto snap = CsrSnapshot::Open(config.graph_snapshot, mapped_only);
+    Status mapped = snap.status();
+    if (mapped.ok()) mapped = (*snap)->ToCallerIds(&merged.results);
+    if (!mapped.ok()) {
+      std::fprintf(stderr, "qcm_cluster: result mapping failed: %s\n",
+                   mapped.ToString().c_str());
+      return 1;
+    }
+    // The merged report carries the ranks' root aggregates.
+    for (RootTaskAgg& agg : merged.root_tasks) {
+      agg.root = (*snap)->CallerId(agg.root);
+    }
+  }
   const size_t raw_candidates = merged.results.size();
   size_t duplicates_suppressed = 0;
   // The job's one maximality pass, over the union of the ranks' raw
@@ -863,10 +883,9 @@ int Launch(Args* args, const std::string& worker_bin,
     if (f != stdout) std::fclose(f);
   }
 
-  if (owns_ckpt_dir) {
-    std::error_code ec;
-    std::filesystem::remove_all(ckpt_dir, ec);
-  }
+  std::error_code ec;
+  if (owns_ckpt_dir) std::filesystem::remove_all(ckpt_dir, ec);
+  std::filesystem::remove_all(config.spill_dir, ec);
   return 0;
 }
 
@@ -932,6 +951,9 @@ int main(int argc, char** argv) {
   if (!packs) config.graph_page_size = kCsrMinPageSize;
   const bool owns_ckpt_dir = config.checkpoint_dir.empty();
   if (owns_ckpt_dir) config.checkpoint_dir = log_dir + "/ckpt";
+  // The ranks spill under the log dir too (each names its files by rank),
+  // so a rank that is SIGKILLed leaves nothing behind in /tmp.
+  config.spill_dir = log_dir + "/spill";
   if (Status valid = config.Validate(); !valid.ok()) {
     if (args.log_dir.empty()) ::rmdir(log_dir.c_str());
     std::fprintf(stderr, "invalid configuration: %s\n",
